@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 
-	"netpath/internal/dataflow"
 	"netpath/internal/dynamo"
 	"netpath/internal/workload"
 )
@@ -115,9 +114,12 @@ func checkOne(name string, scale float64, tau, thresh int64) (*checkEntry, error
 		return nil, err
 	}
 	e := &checkEntry{Name: name}
-	facts, err := dataflow.Analyze(p)
-	if err != nil {
-		return nil, err
+	// Analyze through dynamo's memo: the tier-2 workers then find the facts
+	// ready instead of holding the first compile for the analysis, which on
+	// a short run can land after the run has ended.
+	facts := dynamo.ProgramFacts(p)
+	if facts == nil {
+		return nil, fmt.Errorf("%s: dataflow analysis failed", name)
 	}
 	e.BoundsProven, e.BoundsTotal = facts.InBoundsCount()
 	e.BranchesDecided, e.BranchesTotal = facts.DecidedBranchCount()

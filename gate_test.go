@@ -340,15 +340,8 @@ func TestGuardElisionGate(t *testing.T) {
 		t.Skip("full tiered benchmark runs")
 	}
 	const scale = 0.2
-	guardRate := func(name string, elide bool) (float64, dynamo.Result) {
-		b, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := b.Build(scale)
-		if err != nil {
-			t.Fatal(err)
-		}
+	guardRate := func(p *prog.Program, elide bool) (float64, dynamo.Result) {
+		name := p.Name
 		tc := dynamo.NewTier2Compiler(1, 256)
 		defer tc.Close()
 		cfg := dynamo.DefaultConfig(dynamo.SchemeNET, 50)
@@ -374,8 +367,23 @@ func TestGuardElisionGate(t *testing.T) {
 		return float64(res.T2GuardChecks) / float64(res.T2Instrs), res
 	}
 	for _, name := range []string{"compress", "ijpeg"} {
-		plain, _ := guardRate(name, false)
-		elided, res := guardRate(name, true)
+		b, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := b.Build(scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both runs share one program, and its dataflow facts are memoized
+		// before either starts. Cold, the first compile waits for the
+		// analysis on the worker, and the ~50 ms run can end before any
+		// superblock is published (DESIGN.md §16).
+		if dynamo.ProgramFacts(p) == nil {
+			t.Fatalf("%s: dataflow analysis failed", name)
+		}
+		plain, _ := guardRate(p, false)
+		elided, res := guardRate(p, true)
 		if res.T2BoundsElided == 0 {
 			t.Errorf("%s: elision proved no bounds checks removable", name)
 		}

@@ -488,7 +488,7 @@ func New(p *prog.Program, cfg Config) *System {
 	// program before Dynamo will execute it. The verdict is memoized per
 	// program, so the many Systems of an experiment grid verify each
 	// program once.
-	s.verifyErr = verifyGate(p)
+	s.verifyErr = Verify(p)
 	s.resetRunState()
 	return s
 }

@@ -234,7 +234,7 @@ func (c *Tier2Compiler) compile(j *t2Job) {
 	traceStart := j.tr.Now()
 	var facts *dataflow.Facts
 	if j.elide || j.validate {
-		facts = programFacts(j.prog) // memoized; nil only on analysis failure
+		facts = ProgramFacts(j.prog) // memoized; nil only on analysis failure
 	}
 	var sb *vm.Superblock
 	var stats vm.SBStats
@@ -412,29 +412,18 @@ const t2UnrollCap = 256
 // and the per-entry overhead amortizes; t2UnrollCap bounds the walk.
 // Returns nil if the chain is not worth a superblock.
 func (s *System) snapshotChain(fr *Fragment) *t2Job {
-	var (
-		spec   []vm.SBStep
-		elim   []bool
-		bounds []t2Bound
-	)
 	cap := s.t2MaxGuest
 	if cap > t2UnrollCap {
 		cap = t2UnrollCap
 	}
-	cur := fr
-	for {
-		if len(cur.Steps) == 0 {
-			break
-		}
-		if len(spec)+len(cur.Steps) > cap {
-			break
-		}
-		for i := range cur.Steps {
-			st := &cur.Steps[i]
-			spec = append(spec, vm.SBStep{In: st.In, PC: int32(st.PC), Next: int32(st.Next)})
-			elim = append(elim, st.Eliminated)
-		}
-		bounds = append(bounds, t2Bound{fr: cur, end: int32(len(spec))})
+	// Walk the chain first, so the step copies below are allocated once at
+	// their exact length: a warm-started run re-promotes every restored hot
+	// chain, and growing the copies by append doubled their allocation.
+	var bounds []t2Bound
+	n := 0
+	for cur := fr; len(cur.Steps) > 0 && n+len(cur.Steps) <= cap; {
+		n += len(cur.Steps)
+		bounds = append(bounds, t2Bound{fr: cur, end: int32(n)})
 		if s.cfg.DisableLinking {
 			break
 		}
@@ -444,8 +433,17 @@ func (s *System) snapshotChain(fr *Fragment) *t2Job {
 		}
 		cur = next
 	}
-	if len(spec) < 2 {
+	if n < 2 {
 		return nil
+	}
+	spec := make([]vm.SBStep, 0, n)
+	elim := make([]bool, 0, n)
+	for _, b := range bounds {
+		for i := range b.fr.Steps {
+			st := &b.fr.Steps[i]
+			spec = append(spec, vm.SBStep{In: st.In, PC: int32(st.PC), Next: int32(st.Next)})
+			elim = append(elim, st.Eliminated)
+		}
 	}
 	return &t2Job{
 		fr: fr, spec: spec, elim: elim, bounds: bounds,

@@ -20,8 +20,6 @@
 package dynamo
 
 import (
-	"sync"
-
 	"netpath/internal/dataflow"
 	"netpath/internal/prog"
 	"netpath/internal/telemetry"
@@ -35,37 +33,25 @@ var (
 		"tier-2 superblocks refused publication by the translation validator")
 )
 
-// factsCache memoizes dataflow.Analyze by program identity, with the same
-// bounded full-drop policy as verifyCache (programs are immutable after
-// Freeze; analysis is cheap relative to a run; staleness is impossible).
-// A program whose analysis fails is cached as nil: callers degrade to
-// fact-free compilation and validation.
-var (
-	factsMu    sync.Mutex
-	factsCache = make(map[*prog.Program]*dataflow.Facts)
-)
+// factsCache memoizes dataflow.Analyze by program identity, under the same
+// bounds as verifyCache. A program whose analysis fails is cached as nil:
+// callers degrade to fact-free compilation and validation.
+var factsCache = newProgMemo[*dataflow.Facts]()
 
-// programFacts returns the memoized whole-program dataflow facts for p, or
+// ProgramFacts returns the memoized whole-program dataflow facts for p, or
 // nil if the analysis failed (a verified program always analyzes; nil is
-// pure defense).
-func programFacts(p *prog.Program) *dataflow.Facts {
-	factsMu.Lock()
-	if f, ok := factsCache[p]; ok {
-		factsMu.Unlock()
+// pure defense). It is the memo the tier-2 compile workers read, so a
+// caller that analyzes a program through it before running it spares the
+// first compile the analysis: otherwise that compile waits for
+// dataflow.Analyze, and a short run can end before any superblock lands.
+func ProgramFacts(p *prog.Program) *dataflow.Facts {
+	return factsCache.do(p, func(p *prog.Program) *dataflow.Facts {
+		f, err := dataflow.Analyze(p)
+		if err != nil {
+			return nil
+		}
 		return f
-	}
-	factsMu.Unlock()
-	f, err := dataflow.Analyze(p)
-	if err != nil {
-		f = nil
-	}
-	factsMu.Lock()
-	if len(factsCache) >= verifyCacheCap {
-		clear(factsCache)
-	}
-	factsCache[p] = f
-	factsMu.Unlock()
-	return f
+	})
 }
 
 // sbFactsFor adapts dataflow facts to the superblock compiler's narrow

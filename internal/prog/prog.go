@@ -58,6 +58,11 @@ type MemInit struct {
 // Len returns the number of instructions.
 func (p *Program) Len() int { return len(p.Instrs) }
 
+// Footprint is the program's retained size in words: instructions plus
+// initial-memory entries. Caches that pin programs bound themselves by it,
+// so a stream of large programs cannot pin unbounded memory.
+func (p *Program) Footprint() int { return len(p.Instrs) + len(p.InitMem) }
+
 // Freeze precomputes address-indexed lookup tables. It must be called after
 // the program is fully constructed (the Builder does this automatically).
 func (p *Program) Freeze() {

@@ -113,7 +113,7 @@ func (s *Server) finishTrace(j *job, start, end time.Time, resp *runResponse, ap
 		tr = trace.New(j.traceID, j.tenant, 8, j.t0)
 		root := tr.Add(trace.SpanRequest, trace.NoSpan, 0, endNS, 0, 0)
 		tr.Add(trace.SpanAdmission, root, 0, j.admitEndNS, 0, 0)
-		tr.Add(trace.SpanVerify, root, j.admitEndNS, j.verifyEndNS, 0, 0)
+		tr.Add(trace.SpanVerify, root, j.admitEndNS, j.verifyEndNS, j.verifySite, 0)
 		tr.Add(trace.SpanQueueWait, root,
 			j.enqueued.Sub(j.t0).Nanoseconds(), startNS, 0, 0)
 		tr.Add(trace.SpanExecute, root, startNS, endNS, 0, runSteps)

@@ -26,7 +26,11 @@ type job struct {
 	trExec      int32
 	admitEndNS  int64
 	verifyEndNS int64
-	retained    bool // trace kept in the store (worker → handler, via done)
+	// verifySite is the verify span's site: verifySiteHit when the
+	// program came from the program cache (the span then timed only the
+	// key hash and the quota checks), 0 when it was built and verified.
+	verifySite int32
+	retained   bool // trace kept in the store (worker → handler, via done)
 
 	// Filled by the worker; done is closed when exactly one of resp/apiErr
 	// is set.
@@ -34,6 +38,10 @@ type job struct {
 	apiErr *apiError
 	done   chan struct{}
 }
+
+// verifySiteHit marks a verify span whose program came from the program
+// cache, so a traced run attributes the verification a hit saved.
+const verifySiteHit int32 = 1
 
 // queue is the bounded, per-tenant-fair admission queue. Each tenant gets
 // its own FIFO; workers dequeue round-robin across tenants with pending

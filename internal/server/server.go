@@ -176,6 +176,7 @@ type Server struct {
 	tenants *tenantSet
 	shards  *dynamo.ShardSet
 	tier2   *dynamo.Tier2Compiler
+	progs   *progCache
 	snaps   *snapStore    // nil when Config.SnapshotLimit == 0
 	traces  *trace.Store  // nil when Config.TraceStore == 0
 	flight  *trace.Flight // nil when Config.FlightRecords == 0
@@ -212,6 +213,7 @@ func New(cfg Config) *Server {
 		queue:   newQueue(cfg.QueueDepth, cfg.QueueDepthPerTenant),
 		tenants: newTenantSet(cfg.MaxTenants),
 		shards:  dynamo.NewShardSet(cfg.Tables, cfg.SharedTables),
+		progs:   newProgCache(),
 		sink:    cfg.Registry.NewSink(),
 	}
 	if cfg.Tier2 {
@@ -343,7 +345,8 @@ func (s *Server) maybeRecover() {
 }
 
 // handleRun is the submission path: decode → tenant/rate gate → resolve
-// (parse + quota + verify) → enqueue → wait → respond.
+// (program cache hit, or parse + verify once; quotas always) → enqueue →
+// wait → respond.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	telSubmits.Inc()
 	s.maybeRecover()
@@ -365,6 +368,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		apiErr.write(w)
 		return
 	}
+	defer req.Prog.release()
 
 	tenant, ok := s.tenants.get(req.Tenant)
 	if !ok {
@@ -387,7 +391,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	admitEnd := s.now()
-	if apiErr := req.resolve(s.cfg.Quotas); apiErr != nil {
+	hit, apiErr := req.resolve(s.cfg.Quotas, s.progs)
+	if apiErr != nil {
 		telRejected.Inc()
 		apiErr.write(w)
 		return
@@ -400,6 +405,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		tenant: req.Tenant, req: req, enqueued: verifyEnd,
 		t0: t0, trRoot: trace.NoSpan, trExec: trace.NoSpan,
 		done: make(chan struct{}),
+	}
+	if hit {
+		j.verifySite = verifySiteHit
 	}
 	if s.traces != nil || s.flight != nil {
 		j.admitEndNS = admitEnd.Sub(t0).Nanoseconds()
@@ -415,7 +423,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		j.tr = trace.New(j.traceID, j.tenant, s.cfg.TraceSpans, t0)
 		j.trRoot = j.tr.Add(trace.SpanRequest, trace.NoSpan, 0, 0, 0, 0)
 		j.tr.Add(trace.SpanAdmission, j.trRoot, 0, j.admitEndNS, 0, 0)
-		j.tr.Add(trace.SpanVerify, j.trRoot, j.admitEndNS, j.verifyEndNS, 0,
+		j.tr.Add(trace.SpanVerify, j.trRoot, j.admitEndNS, j.verifyEndNS, j.verifySite,
 			int64(len(req.program.Instrs)))
 	}
 	if apiErr := s.queue.enqueue(j); apiErr != nil {
@@ -477,7 +485,7 @@ func (s *Server) recordShed(w http.ResponseWriter, j *job, e *apiError) {
 		tr = trace.New(j.traceID, j.tenant, 8, j.t0)
 		root = tr.Add(trace.SpanRequest, trace.NoSpan, 0, 0, 0, 0)
 		tr.Add(trace.SpanAdmission, root, 0, j.admitEndNS, 0, 0)
-		tr.Add(trace.SpanVerify, root, j.admitEndNS, j.verifyEndNS, 0, 0)
+		tr.Add(trace.SpanVerify, root, j.admitEndNS, j.verifyEndNS, j.verifySite, 0)
 		tr.MarkTail()
 	}
 	tr.EndAt(root, s.now().Sub(j.t0).Nanoseconds())
@@ -611,6 +619,19 @@ type statuszDoc struct {
 	FlightFreezes  int64           `json:"flight_freezes,omitempty"`
 	ExemplarTraces []string        `json:"exemplar_traces,omitempty"`
 	Tenants        []statuszTenant `json:"tenants"`
+
+	ProgCache statuszProgCache `json:"prog_cache"`
+}
+
+// statuszProgCache is the program cache's row in /statusz. HitRatio is
+// hits / (hits + misses), 0 before the first lookup.
+type statuszProgCache struct {
+	Hits      int64   `json:"hits"`
+	Misses    int64   `json:"misses"`
+	Evictions int64   `json:"evictions"`
+	HitRatio  float64 `json:"hit_ratio"`
+	Programs  int     `json:"programs"`
+	Instrs    int     `json:"instrs"`
 }
 
 // handleStatusz: operator-facing JSON snapshot of admission and ladder state.
@@ -636,6 +657,12 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		FlightFreezes:  s.flight.Freezes(),
 		ExemplarTraces: s.exemplarTraces(),
 	}
+	pc := &doc.ProgCache
+	pc.Hits, pc.Misses, pc.Evictions = s.progs.hits.Load(), s.progs.misses.Load(), s.progs.evictions.Load()
+	if n := pc.Hits + pc.Misses; n > 0 {
+		pc.HitRatio = float64(pc.Hits) / float64(n)
+	}
+	pc.Programs, pc.Instrs = s.progs.stats()
 	for _, t := range s.tenants.all() {
 		doc.Tenants = append(doc.Tenants, statuszTenant{
 			Name:       t.name,

@@ -6,10 +6,10 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"netpath/internal/asm"
-	"netpath/internal/cfg"
 	"netpath/internal/dynamo"
 	"netpath/internal/prog"
 	"netpath/internal/workload"
@@ -28,7 +28,7 @@ type runRequest struct {
 	// Asm is internal/asm assembly text.
 	Asm string `json:"asm,omitempty"`
 	// Prog is an encoded netpath-prog/v1 program document.
-	Prog json.RawMessage `json:"prog,omitempty"`
+	Prog progDoc `json:"prog,omitempty"`
 	// Bench names a built-in workload benchmark; Scale sizes it.
 	Bench string  `json:"bench,omitempty"`
 	Scale float64 `json:"scale,omitempty"`
@@ -53,6 +53,35 @@ type runRequest struct {
 	// resolved by decode/resolve, not wire fields
 	program *prog.Program
 	scheme  dynamo.Scheme
+}
+
+// progDoc holds a submission's raw prog document in a pooled buffer. The
+// document is read only while its request resolves — hashed for the
+// program-cache key, decoded on a miss — so handleRun returns the buffer
+// with release, and the next submission reuses it instead of allocating
+// one the size of a program per request.
+type progDoc []byte
+
+var docPool sync.Pool // *[]byte
+
+func (d *progDoc) UnmarshalJSON(b []byte) error {
+	var buf []byte
+	if p, ok := docPool.Get().(*[]byte); ok {
+		buf = *p
+	}
+	*d = append(buf[:0], b...)
+	return nil
+}
+
+// release returns the document's buffer to the pool; d must not be read
+// afterwards.
+func (d *progDoc) release() {
+	if cap(*d) == 0 {
+		return
+	}
+	buf := []byte(*d)
+	*d = nil
+	docPool.Put(&buf)
 }
 
 // runResponse is the successful POST /v1/run reply.
@@ -153,62 +182,43 @@ func (r *runRequest) validate() *apiError {
 	return nil
 }
 
-// resolve builds the guest program, enforces size quotas, and gates it
-// through the static verifier. This is the expensive pre-admission stage:
-// a program the verifier refuses never occupies a queue slot.
-func (r *runRequest) resolve(q Quotas) *apiError {
-	var p *prog.Program
-	switch {
-	case r.Asm != "":
-		name := r.Name
-		if name == "" {
-			name = "asm"
-		}
-		var err error
-		p, err = asm.Parse(name, r.Asm)
-		if err != nil {
-			return errf(CodeParse, http.StatusBadRequest, "assemble: %v", err)
-		}
-	case len(r.Prog) > 0:
-		var err error
-		p, err = prog.DecodeJSON(r.Prog)
-		if err != nil {
-			return errf(CodeParse, http.StatusBadRequest, "decode prog: %v", err)
-		}
-	default:
-		b, err := workload.ByName(r.Bench)
-		if err != nil {
-			return errf(CodeBadRequest, http.StatusBadRequest, "%v", err)
-		}
-		scale := r.Scale
-		if scale == 0 {
-			scale = 0.01
-		}
-		p, err = b.Build(scale)
-		if err != nil {
-			return errf(CodeInternal, http.StatusInternalServerError, "build benchmark: %v", err)
+// resolve turns the submission into a verified program under the tenant's
+// quotas. This is the expensive pre-admission stage: a program the verifier
+// refuses never occupies a queue slot. A program this tenant submitted
+// before comes from the program cache — no decode, no build, no
+// verification — but every request still passes the quota checks. A new
+// program is verified exactly once, through dynamo's memoized gate, so the
+// run's own load-time gate hits the same verdict; only accepted programs
+// are cached. hit reports whether the cache supplied the program.
+func (r *runRequest) resolve(q Quotas, pc *progCache) (hit bool, e *apiError) {
+	key := r.programKey()
+	p, hit := pc.get(key)
+	if !hit {
+		if p, e = r.build(); e != nil {
+			return false, e
 		}
 	}
 	if len(p.Instrs) > q.MaxInstrs {
-		return errf(CodeQuota, http.StatusUnprocessableEntity,
+		return hit, errf(CodeQuota, http.StatusUnprocessableEntity,
 			"program has %d instructions; tenant quota is %d", len(p.Instrs), q.MaxInstrs)
 	}
 	if p.MemSize > q.MaxMemWords {
-		return errf(CodeQuota, http.StatusUnprocessableEntity,
+		return hit, errf(CodeQuota, http.StatusUnprocessableEntity,
 			"program wants %d memory words; tenant quota is %d", p.MemSize, q.MaxMemWords)
 	}
 	if r.MaxSteps > q.MaxSteps {
-		return errf(CodeQuota, http.StatusUnprocessableEntity,
+		return hit, errf(CodeQuota, http.StatusUnprocessableEntity,
 			"max_steps %d exceeds tenant quota %d", r.MaxSteps, q.MaxSteps)
 	}
 	if time.Duration(r.DeadlineMS)*time.Millisecond > q.MaxDeadline {
-		return errf(CodeQuota, http.StatusUnprocessableEntity,
+		return hit, errf(CodeQuota, http.StatusUnprocessableEntity,
 			"deadline_ms %d exceeds tenant quota %dms", r.DeadlineMS, q.MaxDeadline.Milliseconds())
 	}
-	// The same verifier gates here as in dynamo.New's verify gate; failing
-	// fast keeps hostile programs out of the queue entirely.
-	if err := cfg.VerifyProgram(p); err != nil {
-		return errf(CodeVerify, http.StatusUnprocessableEntity, "verifier rejected program: %v", err)
+	if !hit {
+		if err := pc.verify(p); err != nil {
+			return false, errf(CodeVerify, http.StatusUnprocessableEntity, "verifier rejected program: %v", err)
+		}
+		p = pc.put(key, p)
 	}
 	if r.Name == "" {
 		r.Name = p.Name
@@ -222,7 +232,46 @@ func (r *runRequest) resolve(q Quotas) *apiError {
 		r.scheme = dynamo.SchemeNET
 	}
 	r.program = p
-	return nil
+	return hit, nil
+}
+
+// build assembles, decodes, or builds the submitted program.
+func (r *runRequest) build() (*prog.Program, *apiError) {
+	switch {
+	case r.Asm != "":
+		p, err := asm.Parse(r.asmName(), r.Asm)
+		if err != nil {
+			return nil, errf(CodeParse, http.StatusBadRequest, "assemble: %v", err)
+		}
+		return p, nil
+	case len(r.Prog) > 0:
+		p, err := prog.DecodeJSON(r.Prog)
+		if err != nil {
+			return nil, errf(CodeParse, http.StatusBadRequest, "decode prog: %v", err)
+		}
+		return p, nil
+	}
+	b, err := workload.ByName(r.Bench)
+	if err != nil {
+		return nil, errf(CodeBadRequest, http.StatusBadRequest, "%v", err)
+	}
+	scale := r.Scale
+	if scale == 0 {
+		scale = 0.01
+	}
+	p, err := b.Build(scale)
+	if err != nil {
+		return nil, errf(CodeInternal, http.StatusInternalServerError, "build benchmark: %v", err)
+	}
+	return p, nil
+}
+
+// asmName is the name an asm submission's program takes.
+func (r *runRequest) asmName() string {
+	if r.Name == "" {
+		return "asm"
+	}
+	return r.Name
 }
 
 // budgets returns the effective step and wall-clock budgets under q.

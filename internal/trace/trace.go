@@ -134,7 +134,7 @@ type SpanKind uint8
 const (
 	SpanRequest      SpanKind = iota // whole request, the tree root
 	SpanAdmission                    // decode + validate + rate/quota checks
-	SpanVerify                       // assemble/decode + static CFG verification
+	SpanVerify                       // assemble/decode + static CFG verification; site 1 = program-cache hit (neither ran)
 	SpanQueueWait                    // admission enqueue → worker dequeue
 	SpanRestore                      // snapshot restore into the fragment cache
 	SpanExecute                      // guest execution (interp or dynamo)
