@@ -197,44 +197,20 @@ func parseMem(s string) (uint8, int64, error) {
 	return b, off, nil
 }
 
-func parseCond(s string) (isa.Cond, error) {
-	switch s {
-	case "eq":
-		return isa.Eq, nil
-	case "ne":
-		return isa.Ne, nil
-	case "lt":
-		return isa.Lt, nil
-	case "le":
-		return isa.Le, nil
-	case "gt":
-		return isa.Gt, nil
-	case "ge":
-		return isa.Ge, nil
-	}
-	return 0, fmt.Errorf("bad condition %q", s)
-}
-
-var op3ByName = map[string]isa.Op{
-	"add": isa.Add, "sub": isa.Sub, "mul": isa.Mul, "div": isa.Div,
-	"rem": isa.Rem, "and": isa.And, "or": isa.Or, "xor": isa.Xor,
-	"shl": isa.Shl, "shr": isa.Shr,
-}
-
-var opImmByName = map[string]isa.Op{
-	"addi": isa.AddI, "muli": isa.MulI, "andi": isa.AndI, "remi": isa.RemI,
-}
-
 func (p *parser) instr(line string) error {
 	mn, ops := splitOperands(line)
 	cond := isa.Cond(0)
 	if dot := strings.IndexByte(mn, '.'); dot >= 0 {
-		c, err := parseCond(mn[dot+1:])
-		if err != nil {
-			return err
+		c, ok := isa.CondByName(mn[dot+1:])
+		if !ok {
+			return fmt.Errorf("bad condition %q", mn[dot+1:])
 		}
 		cond = c
 		mn = mn[:dot]
+	}
+	op, ok := isa.OpByName(mn)
+	if !ok {
+		return fmt.Errorf("unknown mnemonic %q", mn)
 	}
 	want := func(n int) error {
 		if len(ops) != n {
@@ -242,23 +218,23 @@ func (p *parser) instr(line string) error {
 		}
 		return nil
 	}
-	switch mn {
-	case "nop":
+	switch op {
+	case isa.Nop:
 		if err := want(0); err != nil {
 			return err
 		}
 		p.f.Nop()
-	case "halt":
+	case isa.Halt:
 		if err := want(0); err != nil {
 			return err
 		}
 		p.f.Halt()
-	case "ret":
+	case isa.Ret:
 		if err := want(0); err != nil {
 			return err
 		}
 		p.f.Ret()
-	case "movi":
+	case isa.MovI:
 		if err := want(2); err != nil {
 			return err
 		}
@@ -271,7 +247,7 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 		p.f.MovI(a, imm)
-	case "mov":
+	case isa.Mov:
 		if err := want(2); err != nil {
 			return err
 		}
@@ -284,7 +260,7 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 		p.f.Mov(a, b)
-	case "add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr":
+	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem, isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr:
 		if err := want(3); err != nil {
 			return err
 		}
@@ -300,8 +276,8 @@ func (p *parser) instr(line string) error {
 		if err != nil {
 			return err
 		}
-		p.f.Op3(op3ByName[mn], a, b, c)
-	case "addi", "muli", "andi", "remi":
+		p.f.Op3(op, a, b, c)
+	case isa.AddI, isa.MulI, isa.AndI, isa.RemI:
 		if err := want(3); err != nil {
 			return err
 		}
@@ -317,8 +293,8 @@ func (p *parser) instr(line string) error {
 		if err != nil {
 			return err
 		}
-		p.f.Emit(isa.Instr{Op: opImmByName[mn], A: a, B: b, Imm: imm})
-	case "load":
+		p.f.Emit(isa.Instr{Op: op, A: a, B: b, Imm: imm})
+	case isa.Load:
 		if err := want(2); err != nil {
 			return err
 		}
@@ -331,7 +307,7 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 		p.f.Load(a, b, off)
-	case "store":
+	case isa.Store:
 		if err := want(2); err != nil {
 			return err
 		}
@@ -344,12 +320,12 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 		p.f.Store(a, b, off)
-	case "jmp":
+	case isa.Jmp:
 		if err := want(1); err != nil {
 			return err
 		}
 		p.f.Jmp(ops[0])
-	case "br":
+	case isa.Br:
 		if err := want(3); err != nil {
 			return err
 		}
@@ -362,7 +338,7 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 		p.f.Br(cond, a, b, ops[2])
-	case "bri":
+	case isa.BrI:
 		if err := want(3); err != nil {
 			return err
 		}
@@ -375,7 +351,7 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 		p.f.BrI(cond, a, imm, ops[2])
-	case "jmpind":
+	case isa.JmpInd:
 		if err := want(1); err != nil {
 			return err
 		}
@@ -384,12 +360,12 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 		p.f.JmpInd(a)
-	case "call":
+	case isa.Call:
 		if err := want(1); err != nil {
 			return err
 		}
 		p.f.Call(ops[0])
-	case "callind":
+	case isa.CallInd:
 		if err := want(1); err != nil {
 			return err
 		}
@@ -398,8 +374,6 @@ func (p *parser) instr(line string) error {
 			return err
 		}
 		p.f.CallInd(a)
-	default:
-		return fmt.Errorf("unknown mnemonic %q", mn)
 	}
 	return nil
 }

@@ -15,8 +15,6 @@ type ConstState struct {
 	Val     [isa.NumRegs]int64
 }
 
-func (s *ConstState) isKnown(r uint8) bool { return s.Known&(1<<r) != 0 }
-
 func (s *ConstState) set(r uint8, v int64) {
 	s.Known |= 1 << r
 	s.Val[r] = v
@@ -27,83 +25,21 @@ func (s *ConstState) kill(r uint8) {
 	s.Val[r] = 0
 }
 
-// constTransferInstr applies one guest instruction. It mirrors the VM's
-// arithmetic exactly (Div/Rem by zero yield zero, shifts mask to 6 bits) —
-// the values it derives are later used to justify guard elision, so any
-// disagreement with vm.Machine.stepSwitch would be a miscompile.
+// constTransferInstr applies one guest instruction, computing known values
+// with the machine's own ALU (isa.Eval) — the values it derives are later
+// used to justify guard elision, so any disagreement with execution would
+// be a miscompile.
 func constTransferInstr(s *ConstState, in isa.Instr) {
-	bin := func(f func(a, b int64) int64) {
-		if s.isKnown(in.B) && s.isKnown(in.C) {
-			s.set(in.A, f(s.Val[in.B], s.Val[in.C]))
-		} else {
-			s.kill(in.A)
-		}
-	}
-	imm := func(f func(a, b int64) int64) {
-		if s.isKnown(in.B) {
-			s.set(in.A, f(s.Val[in.B], in.Imm))
-		} else {
-			s.kill(in.A)
-		}
-	}
-	switch in.Op {
-	case isa.MovI:
-		s.set(in.A, in.Imm)
-	case isa.Mov:
-		if s.isKnown(in.B) {
-			s.set(in.A, s.Val[in.B])
-		} else {
-			s.kill(in.A)
-		}
-	case isa.Add:
-		bin(func(a, b int64) int64 { return a + b })
-	case isa.Sub:
-		bin(func(a, b int64) int64 { return a - b })
-	case isa.Mul:
-		bin(func(a, b int64) int64 { return a * b })
-	case isa.Div:
-		bin(constDiv)
-	case isa.Rem:
-		bin(constRem)
-	case isa.And:
-		bin(func(a, b int64) int64 { return a & b })
-	case isa.Or:
-		bin(func(a, b int64) int64 { return a | b })
-	case isa.Xor:
-		bin(func(a, b int64) int64 { return a ^ b })
-	case isa.Shl:
-		bin(func(a, b int64) int64 { return a << (uint64(b) & 63) })
-	case isa.Shr:
-		bin(func(a, b int64) int64 { return a >> (uint64(b) & 63) })
-	case isa.AddI:
-		imm(func(a, b int64) int64 { return a + b })
-	case isa.MulI:
-		imm(func(a, b int64) int64 { return a * b })
-	case isa.AndI:
-		imm(func(a, b int64) int64 { return a & b })
-	case isa.RemI:
-		imm(constRem)
-	case isa.Load:
-		s.kill(in.A)
-	case isa.Store, isa.Nop, isa.Jmp, isa.Br, isa.BrI, isa.JmpInd, isa.Ret, isa.Halt:
-		// No register effect.
-	case isa.Call, isa.CallInd:
+	switch d, ok := in.Def(); {
+	case in.Op == isa.Call || in.Op == isa.CallInd:
 		s.Known = 0
+	case !ok:
+		// No register effect.
+	case in.Op.IsALU() && s.Known&in.Uses() == in.Uses():
+		s.set(d, in.Result(&s.Val))
+	default:
+		s.kill(d)
 	}
-}
-
-func constDiv(a, b int64) int64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-func constRem(a, b int64) int64 {
-	if b == 0 {
-		return 0
-	}
-	return a % b
 }
 
 // constProblem is the constant-propagation analysis for one function. It

@@ -386,7 +386,7 @@ func TestConstSolutionOnDecidedProgram(t *testing.T) {
 		t.Fatal("entry node not found")
 	}
 	out := sol.Out[n]
-	if !out.isKnown(1) || out.Val[1] != 42 {
-		t.Fatalf("r1 should be known 42 at block exit, got known=%v val=%d", out.isKnown(1), out.Val[1])
+	if known := out.Known&(1<<1) != 0; !known || out.Val[1] != 42 {
+		t.Fatalf("r1 should be known 42 at block exit, got known=%v val=%d", known, out.Val[1])
 	}
 }

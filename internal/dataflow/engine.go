@@ -1,4 +1,4 @@
-// Package dataflow is a worklist-driven abstract-interpretation framework
+// Package dataflow is a round-robin abstract-interpretation framework
 // over the per-function CFGs built by internal/cfg, plus the translation
 // validator that checks tier-1 fragments and tier-2 superblocks against the
 // guest instruction sequences they claim to implement.
@@ -97,8 +97,8 @@ type Solution[S any] struct {
 // order for backward ones, with any nodes unreachable from Entry (indirect
 // jump targets in graphs where cfg stops edge construction) appended in
 // node order so extra-entry states still propagate. The outer loop repeats
-// until a full pass changes nothing; Widener bounds the number of passes on
-// infinite lattices.
+// until a full pass changes nothing, re-joining only nodes whose inputs
+// moved; Widener bounds the number of passes on infinite lattices.
 func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 	n := g.NumNodes()
 	sol := &Solution[S]{In: make([]S, n), Out: make([]S, n)}
@@ -116,7 +116,7 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 		boundaryNode = cfg.Exit
 	}
 
-	// changed tracks per-node input churn for widening.
+	// visits tracks per-node input churn for widening.
 	visits := make([]int, n)
 
 	for v := range order {
@@ -127,10 +127,38 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 	sol.In[boundaryNode] = p.Boundary(g)
 	sol.Out[boundaryNode] = p.Transfer(g, boundaryNode, sol.In[boundaryNode])
 
+	// A node is re-joined only when a flow predecessor's Out changed since
+	// the node's last evaluation, or when that evaluation widened: Widen is
+	// not idempotent, so a widened node must re-join unchanged inputs.
+	// Skipping any other node is exact — its join would recompute the input
+	// it already holds — and saves re-joining whole states every round.
+	changedAt := make([]int, n) // tick of the last change to Out[v]
+	seenAt := make([]int, n)    // tick of v's last evaluation
+	widened := make([]bool, n)
+	tick := 1
+	for v := range changedAt {
+		changedAt[v] = tick
+	}
+	stale := func(node cfg.Node) bool {
+		if widened[node] {
+			return true
+		}
+		for _, pred := range flows[node] {
+			if changedAt[pred] > seenAt[node] {
+				return true
+			}
+		}
+		return false
+	}
+
 	for {
 		sol.Rounds++
 		changed := false
 		for _, node := range order {
+			if !stale(node) {
+				continue
+			}
+			seenAt[node], widened[node] = tick, false
 			var in S
 			if node == boundaryNode {
 				in = p.Boundary(g)
@@ -153,6 +181,7 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 			}
 			visits[node]++
 			if hasWiden && visits[node] > widenAfter {
+				widened[node] = true
 				in = widener.Widen(sol.In[node], in)
 				if p.Equal(in, sol.In[node]) {
 					continue
@@ -160,6 +189,8 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 			}
 			sol.In[node] = in
 			sol.Out[node] = p.Transfer(g, node, in)
+			tick++
+			changedAt[node] = tick
 			changed = true
 		}
 		if !changed {

@@ -33,47 +33,10 @@ func liveTransferInstr(s LiveState, in isa.Instr) LiveState {
 	case isa.Call, isa.CallInd, isa.Ret, isa.Halt, isa.JmpInd:
 		return allLive
 	}
-	if d, ok := destRegOf(in); ok {
+	if d, ok := in.Def(); ok {
 		s &^= 1 << d
 	}
-	for _, r := range srcRegsOf(in) {
-		s |= 1 << r
-	}
-	return s
-}
-
-// destRegOf returns the register in.A defines, if any.
-func destRegOf(in isa.Instr) (uint8, bool) {
-	switch in.Op {
-	case isa.MovI, isa.Mov, isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem,
-		isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr,
-		isa.AddI, isa.MulI, isa.AndI, isa.RemI, isa.Load:
-		return in.A, true
-	}
-	return 0, false
-}
-
-// srcRegsOf returns the registers in reads (into buf, to avoid allocating).
-func srcRegsOf(in isa.Instr) []uint8 {
-	switch in.Op {
-	case isa.Mov:
-		return []uint8{in.B}
-	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem, isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr:
-		return []uint8{in.B, in.C}
-	case isa.AddI, isa.MulI, isa.AndI, isa.RemI:
-		return []uint8{in.B}
-	case isa.Load:
-		return []uint8{in.B}
-	case isa.Store:
-		return []uint8{in.A, in.B}
-	case isa.Br:
-		return []uint8{in.A, in.B}
-	case isa.BrI:
-		return []uint8{in.A}
-	case isa.JmpInd, isa.CallInd:
-		return []uint8{in.A}
-	}
-	return nil
+	return s | LiveState(in.Uses())
 }
 
 // liveProblem is backward register liveness for one function. The boundary

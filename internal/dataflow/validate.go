@@ -72,7 +72,7 @@ func (w *sbWalk) transfer(in isa.Instr) {
 	default:
 		rangeTransferInstr(&w.st, in)
 	}
-	if r, ok := destRegOf(in); ok {
+	if r, ok := in.Def(); ok {
 		w.invalidate(r)
 	}
 }
@@ -100,30 +100,33 @@ func (w *sbWalk) provenInBounds(base uint8, imm, memSize int64) bool {
 	return !addr.IsFull() && addr.Within(0, memSize-1)
 }
 
-// specCheck verifies the guest spec itself is a legal execution path of the
-// program: recorded instructions match the image, successors are legal for
-// each opcode, and consecutive steps chain. A spec that fails here was
-// corrupted between recording and compilation (or recorded against a
-// different program) — nothing downstream is meaningful.
-func specCheck(f *Facts, spec []vm.SBStep) error {
+// checkPath verifies a recorded guest sequence of n steps is a legal
+// execution path of the program: recorded instructions match the image,
+// successors are legal for each opcode, and consecutive steps chain. step
+// returns step i's pc, instruction and recorded successor. A sequence that
+// fails here was corrupted between recording and compilation (or recorded
+// against a different program) — nothing downstream is meaningful. Tier-1
+// fragments and tier-2 superblock specs share this check.
+func checkPath(f *Facts, n int, step func(i int) (pc int, in isa.Instr, next int)) error {
 	p := f.Prog
-	for i := range spec {
-		st := &spec[i]
-		pc, next := int(st.PC), int(st.Next)
+	for i := 0; i < n; i++ {
+		pc, in, next := step(i)
 		if pc < 0 || pc >= p.Len() {
 			return fmt.Errorf("step %d: pc %d outside program", i, pc)
 		}
 		if next < 0 || next >= p.Len() {
 			return fmt.Errorf("step %d: successor %d outside program", i, next)
 		}
-		if st.In != p.Instrs[pc] {
+		if in != p.Instrs[pc] {
 			return fmt.Errorf("step %d: recorded instruction at pc %d does not match program image", i, pc)
 		}
-		if err := legalSuccessor(f, st.In, pc, next); err != nil {
+		if err := legalSuccessor(f, in, pc, next); err != nil {
 			return fmt.Errorf("step %d: %w", i, err)
 		}
-		if i+1 < len(spec) && next != int(spec[i+1].PC) {
-			return fmt.Errorf("step %d: successor %d does not chain to step %d at pc %d", i, next, i+1, spec[i+1].PC)
+		if i+1 < n {
+			if npc, _, _ := step(i + 1); next != npc {
+				return fmt.Errorf("step %d: successor %d does not chain to step %d at pc %d", i, next, i+1, npc)
+			}
 		}
 	}
 	return nil
@@ -181,7 +184,7 @@ func skipJustified(w *sbWalk, step *vm.SBStep) error {
 	case isa.Nop:
 		return nil
 	case isa.Jmp:
-		return nil // successor == target checked by specCheck
+		return nil // successor == target checked by checkPath
 	case isa.Br, isa.BrI:
 		pc := int(step.PC)
 		if int(in.Target) == pc+1 {
@@ -292,7 +295,9 @@ func ValidateSuperblock(f *Facts, spec []vm.SBStep, sb *vm.Superblock) error {
 	if sb.NGuest() != n {
 		return fmt.Errorf("dataflow: validate superblock: covers %d guest steps, spec has %d", sb.NGuest(), n)
 	}
-	if err := specCheck(f, spec); err != nil {
+	if err := checkPath(f, n, func(i int) (int, isa.Instr, int) {
+		return int(spec[i].PC), spec[i].In, int(spec[i].Next)
+	}); err != nil {
 		return fmt.Errorf("dataflow: validate superblock: spec: %w", err)
 	}
 	if got, want := int(sb.ExitPC()), int(spec[n-1].Next); got != want {

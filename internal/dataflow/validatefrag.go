@@ -15,23 +15,37 @@ package dataflow
 
 import (
 	"fmt"
+	"math/bits"
 
 	"netpath/internal/isa"
 	"netpath/internal/prog"
 )
 
-// GuestStep is one recorded guest instruction of a tier-1 trace, in the
-// neutral form the validator consumes (the dynamo package converts its own
-// trace type to this; dataflow must not import dynamo).
+// GuestStep is one recorded guest instruction of a tier-1 trace: the trace
+// recorder produces it, the tier-1 optimizer marks its eliminations on it,
+// and ValidateFragment checks it.
 type GuestStep struct {
-	PC   int
-	In   isa.Instr
+	PC int
+	In isa.Instr
+	// Next is the address the recording run continued at after this
+	// instruction (PC+1 for straight-line code, the observed target for
+	// control transfers).
 	Next int
 	// Eliminated marks a step the optimizer claims the emitted fragment
 	// does not contain; Why names the rule that justified it.
 	Eliminated bool
 	Why        string
 }
+
+// Elimination rule names, recorded in GuestStep.Why by the tier-1 optimizer
+// and re-derived by ValidateFragment.
+const (
+	WhyJumpStraightened = "jump-straightened"
+	WhyConstFolded      = "const-folded"
+	WhyBranchFolded     = "branch-folded"
+	WhyRedundantLoad    = "redundant-load"
+	WhyDeadWrite        = "dead-write"
+)
 
 // loadKey identifies a loaded address by (base register version, offset):
 // two loads with the same key read the same memory cell with the same base
@@ -40,15 +54,6 @@ type loadKey struct {
 	baseVer int64
 	off     int64
 }
-
-// Elimination rule names, as recorded by the tier-1 optimizer.
-const (
-	whyJumpStraightened = "jump-straightened"
-	whyConstFolded      = "const-folded"
-	whyBranchFolded     = "branch-folded"
-	whyRedundantLoad    = "redundant-load"
-	whyDeadWrite        = "dead-write"
-)
 
 // ValidateFragment checks a recorded tier-1 trace starting at start: the
 // steps must be a legal execution path of p, and every Eliminated step's
@@ -66,32 +71,18 @@ func ValidateFragment(p *prog.Program, start int, steps []GuestStep) error {
 		return fmt.Errorf("dataflow: validate fragment: head pc %d != fragment start %d", steps[0].PC, start)
 	}
 
-	// Path legality and chaining, exactly as for superblock specs.
 	f := &Facts{Prog: p}
-	for i := range steps {
-		st := &steps[i]
-		if st.PC < 0 || st.PC >= p.Len() {
-			return fmt.Errorf("dataflow: validate fragment: step %d: pc %d outside program", i, st.PC)
-		}
-		if st.Next < 0 || st.Next >= p.Len() {
-			return fmt.Errorf("dataflow: validate fragment: step %d: successor %d outside program", i, st.Next)
-		}
-		if st.In != p.Instrs[st.PC] {
-			return fmt.Errorf("dataflow: validate fragment: step %d: recorded instruction at pc %d does not match program image", i, st.PC)
-		}
-		if err := legalSuccessor(f, st.In, st.PC, st.Next); err != nil {
-			return fmt.Errorf("dataflow: validate fragment: step %d: %w", i, err)
-		}
-		if i+1 < len(steps) && st.Next != steps[i+1].PC {
-			return fmt.Errorf("dataflow: validate fragment: step %d: successor %d does not chain to step %d at pc %d", i, st.Next, i+1, steps[i+1].PC)
-		}
+	if err := checkPath(f, len(steps), func(i int) (int, isa.Instr, int) {
+		return steps[i].PC, steps[i].In, steps[i].Next
+	}); err != nil {
+		return fmt.Errorf("dataflow: validate fragment: %w", err)
 	}
 
 	// Replay the optimizer's analyses. All of them walk every step
 	// regardless of elimination flags (an eliminated MovI still seeds a
 	// constant; an eliminated load still populates availability), so the
 	// replay state is a function of the instruction sequence alone.
-	var known [isa.NumRegs]bool
+	var known uint32 // bit r: register r holds val[r]
 	var val [isa.NumRegs]int64
 	var regVer [isa.NumRegs]int64
 	ver := int64(1)
@@ -103,36 +94,20 @@ func ValidateFragment(p *prog.Program, start int, steps []GuestStep) error {
 		in := st.In
 
 		if st.Eliminated {
-			if err := checkElimClaim(steps, i, &known, &val, avail, regVer); err != nil {
+			if err := checkElimClaim(steps, i, known, &val, avail, regVer); err != nil {
 				return fmt.Errorf("dataflow: validate fragment: step %d (pc %d, %q): %w", i, st.PC, st.Why, err)
 			}
 		}
 
 		// Constant tracking (mirrors the fold rules: trace-local, no kills
 		// across calls because callee steps are themselves on the trace).
-		switch in.Op {
-		case isa.MovI:
-			known[in.A], val[in.A] = true, in.Imm
-		case isa.Mov:
-			if known[in.B] {
-				known[in.A], val[in.A] = true, val[in.B]
+		if d, ok := in.Def(); ok {
+			if u := in.Uses(); in.Op.IsALU() && known&u == u {
+				val[d] = in.Result(&val)
+				known |= 1 << d
 			} else {
-				known[in.A] = false
+				known &^= 1 << d
 			}
-		case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem, isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr:
-			if known[in.B] && known[in.C] {
-				known[in.A], val[in.A] = true, evalALU3(in.Op, val[in.B], val[in.C])
-			} else {
-				known[in.A] = false
-			}
-		case isa.AddI, isa.MulI, isa.AndI, isa.RemI:
-			if known[in.B] {
-				known[in.A], val[in.A] = true, evalALUImm(in.Op, val[in.B], in.Imm)
-			} else {
-				known[in.A] = false
-			}
-		case isa.Load:
-			known[in.A] = false
 		}
 
 		// Load availability (conservative: stores and call boundaries
@@ -146,7 +121,7 @@ func ValidateFragment(p *prog.Program, start int, steps []GuestStep) error {
 		case isa.Call, isa.CallInd, isa.Ret:
 			avail = map[loadKey]bool{}
 		default:
-			if d, ok := destRegOf(in); ok {
+			if d, ok := in.Def(); ok {
 				bump(d)
 			}
 		}
@@ -156,58 +131,43 @@ func ValidateFragment(p *prog.Program, start int, steps []GuestStep) error {
 
 // checkElimClaim re-derives the elimination claim at step i from the replay
 // state current just before the step.
-func checkElimClaim(steps []GuestStep, i int,
-	known *[isa.NumRegs]bool, val *[isa.NumRegs]int64,
+func checkElimClaim(steps []GuestStep, i int, known uint32, val *[isa.NumRegs]int64,
 	avail map[loadKey]bool, regVer [isa.NumRegs]int64) error {
 	in := steps[i].In
 	switch steps[i].Why {
-	case whyJumpStraightened:
+	case WhyJumpStraightened:
 		if in.Op != isa.Jmp {
 			return fmt.Errorf("claimed on %v; rule applies only to jmp", in.Op)
 		}
 		return nil
 
-	case whyConstFolded:
-		switch in.Op {
-		case isa.Mov:
-			if !known[in.B] {
-				return fmt.Errorf("source r%d not provably constant here", in.B)
-			}
-		case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem, isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr:
-			if !known[in.B] || !known[in.C] {
-				return fmt.Errorf("operands r%d,r%d not both provably constant here", in.B, in.C)
-			}
-		case isa.AddI, isa.MulI, isa.AndI, isa.RemI:
-			if !known[in.B] {
-				return fmt.Errorf("operand r%d not provably constant here", in.B)
-			}
-		default:
+	case WhyConstFolded:
+		if !in.Op.IsALU() || in.Op == isa.MovI {
 			return fmt.Errorf("claimed on %v; not a foldable op", in.Op)
+		}
+		if unknown := in.Uses() &^ known; unknown != 0 {
+			return fmt.Errorf("operand r%d not provably constant here", bits.TrailingZeros32(unknown))
 		}
 		return nil
 
-	case whyBranchFolded:
-		var decided bool
-		switch in.Op {
-		case isa.Br:
-			if !known[in.A] || !known[in.B] {
-				return fmt.Errorf("operands r%d,r%d not both provably constant here", in.A, in.B)
-			}
-			decided = in.Cond.Eval(val[in.A], val[in.B])
-		case isa.BrI:
-			if !known[in.A] {
-				return fmt.Errorf("operand r%d not provably constant here", in.A)
-			}
-			decided = in.Cond.Eval(val[in.A], in.Imm)
-		default:
+	case WhyBranchFolded:
+		if !in.Op.IsConditional() {
 			return fmt.Errorf("claimed on %v; rule applies only to conditional branches", in.Op)
 		}
+		if unknown := in.Uses() &^ known; unknown != 0 {
+			return fmt.Errorf("operand r%d not provably constant here", bits.TrailingZeros32(unknown))
+		}
+		rhs := in.Imm
+		if in.Op == isa.Br {
+			rhs = val[in.B]
+		}
+		decided := in.Cond.Eval(val[in.A], rhs)
 		if recorded := steps[i].Next == int(in.Target); decided != recorded {
 			return fmt.Errorf("constants decide the branch against the recorded direction")
 		}
 		return nil
 
-	case whyRedundantLoad:
+	case WhyRedundantLoad:
 		if in.Op != isa.Load {
 			return fmt.Errorf("claimed on %v; rule applies only to loads", in.Op)
 		}
@@ -217,27 +177,25 @@ func checkElimClaim(steps []GuestStep, i int,
 		}
 		return nil
 
-	case whyDeadWrite:
-		d, ok := destRegOf(in)
+	case WhyDeadWrite:
+		// Every register write on this machine is its instruction's only
+		// architectural effect: loads have no I/O, and a recorded trace
+		// already executed them in bounds.
+		d, ok := in.Def()
 		if !ok {
 			return fmt.Errorf("claimed on %v; no register write", in.Op)
-		}
-		if !pureWriteOf(in) {
-			return fmt.Errorf("claimed on %v; write is not the only effect", in.Op)
 		}
 		// Re-derive forward: r%d must be overwritten before any read, with
 		// no side exit in between (a side exit exposes every register).
 		for j := i + 1; j < len(steps); j++ {
 			nj := steps[j].In
-			for _, r := range srcRegsOf(nj) {
-				if r == d {
-					return fmt.Errorf("r%d read at step %d before being overwritten", d, j)
-				}
+			if nj.Uses()&(1<<d) != 0 {
+				return fmt.Errorf("r%d read at step %d before being overwritten", d, j)
 			}
 			if nj.Op.IsControl() {
 				return fmt.Errorf("side exit at step %d exposes the pending write to r%d", j, d)
 			}
-			if dj, ok := destRegOf(nj); ok && dj == d {
+			if dj, ok := nj.Def(); ok && dj == d {
 				return nil
 			}
 		}
@@ -246,59 +204,4 @@ func checkElimClaim(steps []GuestStep, i int,
 	default:
 		return fmt.Errorf("unknown elimination rule")
 	}
-}
-
-// evalALU3 mirrors the machine's three-register ALU semantics.
-func evalALU3(op isa.Op, b, c int64) int64 {
-	switch op {
-	case isa.Add:
-		return b + c
-	case isa.Sub:
-		return b - c
-	case isa.Mul:
-		return b * c
-	case isa.Div:
-		return constDiv(b, c)
-	case isa.Rem:
-		return constRem(b, c)
-	case isa.And:
-		return b & c
-	case isa.Or:
-		return b | c
-	case isa.Xor:
-		return b ^ c
-	case isa.Shl:
-		return b << (uint64(c) & 63)
-	case isa.Shr:
-		return b >> (uint64(c) & 63)
-	}
-	return 0
-}
-
-// evalALUImm mirrors the machine's immediate ALU semantics.
-func evalALUImm(op isa.Op, b, imm int64) int64 {
-	switch op {
-	case isa.AddI:
-		return b + imm
-	case isa.MulI:
-		return b * imm
-	case isa.AndI:
-		return b & imm
-	case isa.RemI:
-		return constRem(b, imm)
-	}
-	return 0
-}
-
-// pureWriteOf reports an instruction whose only architectural effect is its
-// register write. Loads count: this machine's loads have no I/O, and a
-// recorded trace already executed them in bounds.
-func pureWriteOf(in isa.Instr) bool {
-	switch in.Op {
-	case isa.MovI, isa.Mov, isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem,
-		isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr,
-		isa.AddI, isa.MulI, isa.AndI, isa.RemI, isa.Load:
-		return true
-	}
-	return false
 }

@@ -1,27 +1,12 @@
 package dynamo
 
 import (
+	"math/bits"
 	"sync/atomic"
 
+	"netpath/internal/dataflow"
 	"netpath/internal/isa"
 )
-
-// TraceStep is one recorded instruction of a selected trace, with the
-// control successor observed during recording.
-type TraceStep struct {
-	PC int
-	In isa.Instr
-	// Next is the address the recording run continued at after this
-	// instruction (PC+1 for straight-line code, the observed target for
-	// control transfers).
-	Next int
-	// Eliminated marks instructions the trace optimizer removed; they still
-	// execute semantically in the simulation but cost nothing, modelling
-	// code the emitted fragment genuinely does not contain.
-	Eliminated bool
-	// Why records the optimization that removed the instruction.
-	Why string
-}
 
 // codeStep is one step of a fragment lowered onto the VM's predecoded
 // engine: the instruction address to execute and the control successor
@@ -35,7 +20,10 @@ type codeStep struct {
 type Fragment struct {
 	// Start is the path head address the fragment is keyed by.
 	Start int
-	Steps []TraceStep
+	// Steps is the recorded trace. Eliminated steps still execute
+	// semantically in the simulation but cost nothing, modelling code the
+	// emitted fragment genuinely does not contain.
+	Steps []dataflow.GuestStep
 	// Eliminated counts optimized-away instructions.
 	Eliminated int
 
@@ -88,14 +76,9 @@ func (f *Fragment) EmittedLen() int { return len(f.Steps) - f.Eliminated }
 // Optimizer applies Dynamo's lightweight trace optimizations to a recorded
 // trace. Passes are deliberately conservative: an instruction is eliminated
 // only when no on-trace use and no side exit could observe the difference
-// in the modelled machine.
+// in the modelled machine. A nil *Optimizer runs no passes
+// (Config.DisableOptimizer).
 type Optimizer struct {
-	// Passes toggles; all default to on via NewOptimizer.
-	ConstantFolding bool
-	RedundantLoads  bool
-	DeadRegWrites   bool
-	JumpStraighten  bool
-
 	// Stats per pass, accumulated across all optimized traces.
 	FoldedOps      int64
 	FoldedBranches int64
@@ -104,24 +87,16 @@ type Optimizer struct {
 	JumpsRemoved   int64
 }
 
-// NewOptimizer returns an optimizer with every pass enabled.
-func NewOptimizer() *Optimizer {
-	return &Optimizer{ConstantFolding: true, RedundantLoads: true, DeadRegWrites: true, JumpStraighten: true}
-}
+// NewOptimizer returns an optimizer with zeroed statistics.
+func NewOptimizer() *Optimizer { return &Optimizer{} }
 
 // Optimize builds a fragment from a recorded trace.
-func (o *Optimizer) Optimize(start int, steps []TraceStep) *Fragment {
+func (o *Optimizer) Optimize(start int, steps []dataflow.GuestStep) *Fragment {
 	fr := &Fragment{Start: start, Steps: steps}
-	if o.JumpStraighten {
+	if o != nil {
 		o.straightenJumps(fr)
-	}
-	if o.ConstantFolding {
 		o.foldConstants(fr)
-	}
-	if o.RedundantLoads {
 		o.removeRedundantLoads(fr)
-	}
-	if o.DeadRegWrites {
 		o.removeDeadWrites(fr)
 	}
 	for i := range fr.Steps {
@@ -151,7 +126,7 @@ func (f *Fragment) compile() {
 	f.elimPrefix[len(f.Steps)] = elim
 }
 
-func eliminate(s *TraceStep, why string) {
+func eliminate(s *dataflow.GuestStep, why string) {
 	if !s.Eliminated {
 		s.Eliminated = true
 		s.Why = why
@@ -164,7 +139,7 @@ func (o *Optimizer) straightenJumps(fr *Fragment) {
 	for i := range fr.Steps {
 		s := &fr.Steps[i]
 		if s.In.Op == isa.Jmp && !s.Eliminated {
-			eliminate(s, "jump-straightened")
+			eliminate(s, dataflow.WhyJumpStraightened)
 			o.JumpsRemoved++
 		}
 	}
@@ -173,112 +148,35 @@ func (o *Optimizer) straightenJumps(fr *Fragment) {
 // foldConstants tracks registers with compile-time-known values along the
 // trace and eliminates pure ops whose result is known, plus conditional
 // branches whose outcome is decided by known operands (the emitted fragment
-// needs no guard for them).
+// needs no guard for them). Calls and returns kill nothing: the callee's
+// steps are on the trace and transfer individually.
 func (o *Optimizer) foldConstants(fr *Fragment) {
-	var known [isa.NumRegs]bool
+	var known uint32 // bit r: register r holds val[r]
 	var val [isa.NumRegs]int64
-	kill := func(r uint8) { known[r] = false }
-	set := func(r uint8, v int64) { known[r] = true; val[r] = v }
 
 	for i := range fr.Steps {
 		s := &fr.Steps[i]
 		in := s.In
-		switch in.Op {
-		case isa.MovI:
+		u := in.Uses()
+		switch {
+		case in.Op.IsALU() && known&u == u:
+			val[in.A] = in.Result(&val)
+			known |= 1 << in.A
 			// The constant seed itself stays (something must materialize
 			// the value for side exits), but it enables downstream folds.
-			set(in.A, in.Imm)
-		case isa.Mov:
-			if known[in.B] {
-				set(in.A, val[in.B])
-				eliminate(s, "const-folded")
+			if in.Op != isa.MovI {
+				eliminate(s, dataflow.WhyConstFolded)
 				o.FoldedOps++
-			} else {
-				kill(in.A)
 			}
-		case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem, isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr:
-			if known[in.B] && known[in.C] {
-				set(in.A, alu3(in.Op, val[in.B], val[in.C]))
-				eliminate(s, "const-folded")
-				o.FoldedOps++
-			} else {
-				kill(in.A)
+		case in.Op.IsConditional() && known&u == u:
+			eliminate(s, dataflow.WhyBranchFolded)
+			o.FoldedBranches++
+		default:
+			if d, ok := in.Def(); ok {
+				known &^= 1 << d
 			}
-		case isa.AddI, isa.MulI, isa.AndI, isa.RemI:
-			if known[in.B] {
-				set(in.A, aluImm(in.Op, val[in.B], in.Imm))
-				eliminate(s, "const-folded")
-				o.FoldedOps++
-			} else {
-				kill(in.A)
-			}
-		case isa.Load:
-			kill(in.A)
-		case isa.Store:
-			// No register effect.
-		case isa.Br:
-			if known[in.A] && known[in.B] {
-				eliminate(s, "branch-folded")
-				o.FoldedBranches++
-			}
-		case isa.BrI:
-			if known[in.A] {
-				eliminate(s, "branch-folded")
-				o.FoldedBranches++
-			}
-		case isa.Call, isa.CallInd, isa.Ret, isa.Jmp, isa.JmpInd, isa.Nop, isa.Halt:
-			// No register effects tracked across these.
 		}
 	}
-}
-
-func alu3(op isa.Op, b, c int64) int64 {
-	switch op {
-	case isa.Add:
-		return b + c
-	case isa.Sub:
-		return b - c
-	case isa.Mul:
-		return b * c
-	case isa.Div:
-		if c == 0 {
-			return 0
-		}
-		return b / c
-	case isa.Rem:
-		if c == 0 {
-			return 0
-		}
-		return b % c
-	case isa.And:
-		return b & c
-	case isa.Or:
-		return b | c
-	case isa.Xor:
-		return b ^ c
-	case isa.Shl:
-		return b << (uint(c) & 63)
-	case isa.Shr:
-		return b >> (uint(c) & 63)
-	}
-	return 0
-}
-
-func aluImm(op isa.Op, b, imm int64) int64 {
-	switch op {
-	case isa.AddI:
-		return b + imm
-	case isa.MulI:
-		return b * imm
-	case isa.AndI:
-		return b & imm
-	case isa.RemI:
-		if imm == 0 {
-			return 0
-		}
-		return b % imm
-	}
-	return 0
 }
 
 // removeRedundantLoads eliminates a load whose (base register version,
@@ -301,7 +199,7 @@ func (o *Optimizer) removeRedundantLoads(fr *Fragment) {
 		case isa.Load:
 			k := key{baseVer: regVer[in.B]<<8 | int64(in.B), off: in.Imm}
 			if avail[k] && !s.Eliminated {
-				eliminate(s, "redundant-load")
+				eliminate(s, dataflow.WhyRedundantLoad)
 				o.LoadsRemoved++
 			} else {
 				avail[k] = true
@@ -315,97 +213,45 @@ func (o *Optimizer) removeRedundantLoads(fr *Fragment) {
 			// when the trace crosses calls; memory may change → invalidate.
 			avail = map[key]bool{}
 		default:
-			if d, ok := destReg(in); ok {
+			if d, ok := in.Def(); ok {
 				bump(d)
 			}
 		}
 	}
 }
 
-// removeDeadWrites eliminates pure register writes that are overwritten
-// before any read, with no side exit (conditional branch, indirect branch,
-// call, or return) in between — a side exit makes every register live.
+// removeDeadWrites eliminates register writes that are overwritten before
+// any read, with no side exit (conditional branch, indirect branch, call, or
+// return) in between — a side exit makes every register live. A register
+// write is always the instruction's only effect: loads are pure in this
+// machine (no I/O, and the recording run already executed them in bounds).
 func (o *Optimizer) removeDeadWrites(fr *Fragment) {
 	// lastWrite[r] = index of a pending (unread) write to r, or -1.
 	var lastWrite [isa.NumRegs]int
 	for r := range lastWrite {
 		lastWrite[r] = -1
 	}
-	clearAll := func() {
-		for r := range lastWrite {
-			lastWrite[r] = -1
-		}
-	}
-	markRead := func(r uint8) { lastWrite[r] = -1 }
 
 	for i := range fr.Steps {
 		s := &fr.Steps[i]
 		in := s.In
 		// Reads first.
-		for _, r := range srcRegs(in) {
-			markRead(r)
+		for u := in.Uses(); u != 0; u &= u - 1 {
+			lastWrite[bits.TrailingZeros32(u)] = -1
 		}
 		// Side exits make all pending writes live.
 		if in.Op.IsControl() {
-			clearAll()
+			for r := range lastWrite {
+				lastWrite[r] = -1
+			}
 			continue
 		}
-		if d, ok := destReg(in); ok {
-			if j := lastWrite[d]; j >= 0 && !fr.Steps[j].Eliminated && pureWrite(fr.Steps[j].In) {
-				eliminate(&fr.Steps[j], "dead-write")
+		if d, ok := in.Def(); ok {
+			if j := lastWrite[d]; j >= 0 && !fr.Steps[j].Eliminated {
+				eliminate(&fr.Steps[j], dataflow.WhyDeadWrite)
 				o.DeadRemoved++
 			}
 			lastWrite[d] = i
 		}
 	}
-}
-
-// destReg returns the destination register of an instruction, if any.
-func destReg(in isa.Instr) (uint8, bool) {
-	switch in.Op {
-	case isa.MovI, isa.Mov, isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem,
-		isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr,
-		isa.AddI, isa.MulI, isa.AndI, isa.RemI, isa.Load:
-		return in.A, true
-	}
-	return 0, false
-}
-
-// srcRegs returns the registers an instruction reads.
-func srcRegs(in isa.Instr) []uint8 {
-	switch in.Op {
-	case isa.Mov:
-		return []uint8{in.B}
-	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem, isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr:
-		return []uint8{in.B, in.C}
-	case isa.AddI, isa.MulI, isa.AndI, isa.RemI:
-		return []uint8{in.B}
-	case isa.Load:
-		return []uint8{in.B}
-	case isa.Store:
-		return []uint8{in.A, in.B}
-	case isa.Br:
-		return []uint8{in.A, in.B}
-	case isa.BrI:
-		return []uint8{in.A}
-	case isa.JmpInd, isa.CallInd:
-		return []uint8{in.A}
-	}
-	return nil
-}
-
-// pureWrite reports whether an instruction's only effect is its register
-// write (safe to eliminate when the write is dead).
-func pureWrite(in isa.Instr) bool {
-	switch in.Op {
-	case isa.MovI, isa.Mov, isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem,
-		isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr,
-		isa.AddI, isa.MulI, isa.AndI, isa.RemI:
-		return true
-	case isa.Load:
-		// Loads are pure in this machine (no I/O, no faults on recorded
-		// traces — the recording run already executed them successfully).
-		return true
-	}
-	return false
 }

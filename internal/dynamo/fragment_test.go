@@ -3,14 +3,15 @@ package dynamo
 import (
 	"testing"
 
+	"netpath/internal/dataflow"
 	"netpath/internal/isa"
 )
 
 // mkTrace builds trace steps with sequential PCs; Next defaults to PC+1.
-func mkTrace(ins ...isa.Instr) []TraceStep {
-	steps := make([]TraceStep, len(ins))
+func mkTrace(ins ...isa.Instr) []dataflow.GuestStep {
+	steps := make([]dataflow.GuestStep, len(ins))
 	for i, in := range ins {
-		steps[i] = TraceStep{PC: 100 + i, In: in, Next: 100 + i + 1}
+		steps[i] = dataflow.GuestStep{PC: 100 + i, In: in, Next: 100 + i + 1}
 	}
 	return steps
 }
@@ -127,7 +128,7 @@ func TestDeadWriteElimination(t *testing.T) {
 }
 
 func TestDeadWriteBlockedBySideExit(t *testing.T) {
-	fr := NewOptimizer().Optimize(100, []TraceStep{
+	fr := NewOptimizer().Optimize(100, []dataflow.GuestStep{
 		{PC: 100, In: isa.Instr{Op: isa.MovI, A: 1, Imm: 5}, Next: 101},
 		{PC: 101, In: isa.Instr{Op: isa.Br, Cond: isa.Lt, A: 2, B: 3, Target: 500}, Next: 102},
 		{PC: 102, In: isa.Instr{Op: isa.MovI, A: 1, Imm: 6}, Next: 103},
@@ -155,8 +156,11 @@ func TestOptimizerStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestDisabledPassesDoNothing covers Config.DisableOptimizer, which leaves
+// the system without an optimizer: a nil *Optimizer eliminates nothing, and
+// a disabled system's fragments carry no eliminations.
 func TestDisabledPassesDoNothing(t *testing.T) {
-	o := &Optimizer{}
+	var o *Optimizer
 	fr := o.Optimize(100, mkTrace(
 		isa.Instr{Op: isa.Jmp, Target: 1},
 		isa.Instr{Op: isa.MovI, A: 1, Imm: 1},
@@ -167,8 +171,29 @@ func TestDisabledPassesDoNothing(t *testing.T) {
 	if fr.Eliminated != 0 {
 		t.Errorf("eliminated = %d, want 0 with all passes off", fr.Eliminated)
 	}
+
+	cfg := DefaultConfig(SchemeNET, 50)
+	cfg.DisableOptimizer = true
+	sys := New(hotLoop(20_000), cfg)
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.cache) == 0 {
+		t.Fatal("no fragments built")
+	}
+	for head, fr := range sys.cache {
+		if fr.Eliminated != 0 {
+			t.Errorf("fragment @%d: eliminated = %d, want 0", head, fr.Eliminated)
+		}
+	}
+	if sys.OptimizerStats() != (Optimizer{}) {
+		t.Errorf("disabled optimizer stats = %+v, want zero", sys.OptimizerStats())
+	}
 }
 
+// TestAlu3AndAluImm checks the ALU semantics constant folding relies on:
+// isa.Eval for the three-address forms and, with Imm as c, the immediate
+// forms.
 func TestAlu3AndAluImm(t *testing.T) {
 	cases := []struct {
 		op   isa.Op
@@ -182,8 +207,8 @@ func TestAlu3AndAluImm(t *testing.T) {
 		{isa.Shl, 1, 4, 16}, {isa.Shr, 16, 4, 1},
 	}
 	for _, cse := range cases {
-		if got := alu3(cse.op, cse.b, cse.c); got != cse.want {
-			t.Errorf("alu3(%v, %d, %d) = %d, want %d", cse.op, cse.b, cse.c, got, cse.want)
+		if got := isa.Eval(cse.op, cse.b, cse.c); got != cse.want {
+			t.Errorf("Eval(%v, %d, %d) = %d, want %d", cse.op, cse.b, cse.c, got, cse.want)
 		}
 	}
 	immCases := []struct {
@@ -195,30 +220,34 @@ func TestAlu3AndAluImm(t *testing.T) {
 		{isa.RemI, 7, 2, 1}, {isa.RemI, 7, 0, 0},
 	}
 	for _, cse := range immCases {
-		if got := aluImm(cse.op, cse.b, cse.imm); got != cse.want {
-			t.Errorf("aluImm(%v, %d, %d) = %d, want %d", cse.op, cse.b, cse.imm, got, cse.want)
+		if got := isa.Eval(cse.op, cse.b, cse.imm); got != cse.want {
+			t.Errorf("Eval(%v, %d, imm %d) = %d, want %d", cse.op, cse.b, cse.imm, got, cse.want)
 		}
 	}
 }
 
+// TestSrcDestRegs checks the register roles the optimizer's passes rely
+// on: Instr.Def for the written register and Instr.Uses for the read ones.
 func TestSrcDestRegs(t *testing.T) {
-	if d, ok := destReg(isa.Instr{Op: isa.Load, A: 7}); !ok || d != 7 {
+	if d, ok := (isa.Instr{Op: isa.Load, A: 7}).Def(); !ok || d != 7 {
 		t.Error("Load dest wrong")
 	}
-	if _, ok := destReg(isa.Instr{Op: isa.Store}); ok {
+	if _, ok := (isa.Instr{Op: isa.Store}).Def(); ok {
 		t.Error("Store has no dest")
 	}
-	if _, ok := destReg(isa.Instr{Op: isa.Br}); ok {
+	if _, ok := (isa.Instr{Op: isa.Br}).Def(); ok {
 		t.Error("Br has no dest")
 	}
-	srcs := srcRegs(isa.Instr{Op: isa.Store, A: 1, B: 2})
-	if len(srcs) != 2 {
-		t.Errorf("Store srcs = %v", srcs)
+	if u := (isa.Instr{Op: isa.Store, A: 1, B: 2}).Uses(); u != 1<<1|1<<2 {
+		t.Errorf("Store uses = %#b, want r1 and r2", u)
 	}
-	if len(srcRegs(isa.Instr{Op: isa.MovI})) != 0 {
+	if (isa.Instr{Op: isa.MovI}).Uses() != 0 {
 		t.Error("MovI reads nothing")
 	}
-	if !pureWrite(isa.Instr{Op: isa.AddI}) || pureWrite(isa.Instr{Op: isa.Store}) {
-		t.Error("pureWrite classification wrong")
+	if _, ok := (isa.Instr{Op: isa.AddI}).Def(); !ok || !isa.AddI.IsALU() {
+		t.Error("AddI is a pure register write")
+	}
+	if isa.Store.IsALU() {
+		t.Error("Store is not a pure register write")
 	}
 }

@@ -65,5 +65,10 @@ func (s *System) DumpCache(n int) string {
 }
 
 // OptimizerStats exposes the per-pass elimination counters accumulated over
-// every trace this system optimized.
-func (s *System) OptimizerStats() Optimizer { return *s.opt }
+// every trace this system optimized (all zero under DisableOptimizer).
+func (s *System) OptimizerStats() Optimizer {
+	if s.opt == nil {
+		return Optimizer{}
+	}
+	return *s.opt
+}

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"netpath/internal/dataflow"
 	"netpath/internal/isa"
 	"netpath/internal/path"
 	"netpath/internal/snapshot"
@@ -222,7 +223,7 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 		if t.Start >= nInstr || s.cache[t.Start] != nil || s.black.barred(t.Start) {
 			continue
 		}
-		steps := make([]TraceStep, 0, len(t.Steps))
+		steps := make([]dataflow.GuestStep, 0, len(t.Steps))
 		ok := true
 		for _, st := range t.Steps {
 			if st.PC >= nInstr || st.Next > nInstr {
@@ -233,7 +234,7 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 			if in.Op == isa.Halt {
 				break
 			}
-			steps = append(steps, TraceStep{PC: st.PC, In: in, Next: st.Next})
+			steps = append(steps, dataflow.GuestStep{PC: st.PC, In: in, Next: st.Next})
 		}
 		if !ok || len(steps) == 0 {
 			continue

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"netpath/internal/dataflow"
 	"netpath/internal/isa"
 	"netpath/internal/path"
 	"netpath/internal/prog"
@@ -343,11 +344,11 @@ type System struct {
 	// Trace recording (NET).
 	recording bool
 	recStart  int
-	recBuf    []TraceStep
+	recBuf    []dataflow.GuestStep
 
 	// Per-path capture (PathProfile).
 	capStart int
-	capBuf   []TraceStep
+	capBuf   []dataflow.GuestStep
 
 	// Selector state.
 	heads      *headTable // NET head counters (bounded, CLOCK-evicted)
@@ -462,14 +463,14 @@ func New(p *prog.Program, cfg Config) *System {
 		t2MinFlow:   cfg.Tier2MinFlow,
 	}
 	if cfg.DisableOptimizer {
-		s.opt = &Optimizer{} // all passes off
+		s.opt = nil // no passes run
 	}
 	// The recording and capture buffers are reused across traces ([:0]
 	// truncation); seed them with enough capacity for a full-length trace so
 	// the steady state never grows them.
-	s.recBuf = make([]TraceStep, 0, 4*cfg.MaxTraceBranches)
+	s.recBuf = make([]dataflow.GuestStep, 0, 4*cfg.MaxTraceBranches)
 	if cfg.Scheme == SchemePathProfile {
-		s.capBuf = make([]TraceStep, 0, 4*cfg.MaxTraceBranches)
+		s.capBuf = make([]dataflow.GuestStep, 0, 4*cfg.MaxTraceBranches)
 	}
 	s.m.SetSink(s)
 	if h, ok := cfg.Chaos.(interface{ VMFault(*vm.Machine) error }); ok {
@@ -726,10 +727,10 @@ func (s *System) stepInterp() error {
 	next := s.m.PC
 
 	if s.recording {
-		s.recBuf = append(s.recBuf, TraceStep{PC: pc, In: in, Next: next})
+		s.recBuf = append(s.recBuf, dataflow.GuestStep{PC: pc, In: in, Next: next})
 	}
 	if s.cfg.Scheme == SchemePathProfile && !s.skipping {
-		s.capBuf = append(s.capBuf, TraceStep{PC: pc, In: in, Next: next})
+		s.capBuf = append(s.capBuf, dataflow.GuestStep{PC: pc, In: in, Next: next})
 	}
 
 	// Injected faults land at their machine step and damage only what is in
@@ -911,7 +912,7 @@ func (s *System) atPathStart(addr int) {
 }
 
 // emit optimizes a recorded trace and installs it in the cache.
-func (s *System) emit(start int, steps []TraceStep) {
+func (s *System) emit(start int, steps []dataflow.GuestStep) {
 	// Selection ends here whether or not anything installs; close the open
 	// trace-select span (a no-op for sampled-out runs and armed PP captures,
 	// which never opened one).
@@ -922,7 +923,7 @@ func (s *System) emit(start int, steps []TraceStep) {
 	}
 	c := &s.cfg.Costs
 	s.res.BuildCycles += c.OptimizeInstr * float64(len(steps))
-	cp := make([]TraceStep, len(steps))
+	cp := make([]dataflow.GuestStep, len(steps))
 	copy(cp, steps)
 	fr := s.opt.Optimize(start, cp)
 	if s.cfg.ValidateEmits && !s.validateEmit(fr) {

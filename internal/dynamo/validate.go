@@ -71,25 +71,11 @@ func sbFactsFor(f *dataflow.Facts) vm.SBFacts {
 	}
 }
 
-// toGuestSteps converts an optimized tier-1 trace to the validator's neutral
-// form.
-func toGuestSteps(steps []TraceStep) []dataflow.GuestStep {
-	out := make([]dataflow.GuestStep, len(steps))
-	for i := range steps {
-		st := &steps[i]
-		out[i] = dataflow.GuestStep{
-			PC: st.PC, In: st.In, Next: st.Next,
-			Eliminated: st.Eliminated, Why: st.Why,
-		}
-	}
-	return out
-}
-
 // validateEmit checks an optimized fragment against the program before it
 // enters the cache. Mutator-side, but only on the emit slow path and only
 // under Config.ValidateEmits.
 func (s *System) validateEmit(fr *Fragment) bool {
-	err := dataflow.ValidateFragment(s.m.Prog, fr.Start, toGuestSteps(fr.Steps))
+	err := dataflow.ValidateFragment(s.m.Prog, fr.Start, fr.Steps)
 	s.res.ValidatorChecked++
 	if err == nil {
 		return true

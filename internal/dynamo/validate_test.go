@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"netpath/internal/dataflow"
 	"netpath/internal/isa"
 	"netpath/internal/prog"
 	"netpath/internal/vm"
@@ -69,7 +70,7 @@ func TestValidateEmitRejectsCorruptFragment(t *testing.T) {
 
 	// pc1 is the AndI on a non-constant cursor: claiming it const-folded is
 	// a lie no replay of the rules can re-derive.
-	fr := &Fragment{Start: 1, Steps: []TraceStep{
+	fr := &Fragment{Start: 1, Steps: []dataflow.GuestStep{
 		{PC: 1, In: p.Instrs[1], Next: 2, Eliminated: true, Why: "const-folded"},
 		{PC: 2, In: p.Instrs[2], Next: 3},
 	}}
@@ -82,7 +83,7 @@ func TestValidateEmitRejectsCorruptFragment(t *testing.T) {
 	}
 
 	// The honest version of the same fragment passes.
-	ok := &Fragment{Start: 1, Steps: []TraceStep{
+	ok := &Fragment{Start: 1, Steps: []dataflow.GuestStep{
 		{PC: 1, In: p.Instrs[1], Next: 2},
 		{PC: 2, In: p.Instrs[2], Next: 3},
 	}}

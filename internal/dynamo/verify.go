@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"netpath/internal/cfg"
+	"netpath/internal/dataflow"
 	"netpath/internal/isa"
 	"netpath/internal/prog"
 	"netpath/internal/staticpred"
@@ -97,7 +98,7 @@ func Verify(p *prog.Program) error {
 // maximum-likelihood walks — the static scheme's whole "profiling" phase,
 // run at load time with zero runtime counters. Each completed walk becomes
 // a trace recorded exactly as the online recorder would have recorded it
-// (one TraceStep per predicted instruction), then optimized and installed
+// (one GuestStep per predicted instruction), then optimized and installed
 // through the ordinary emit path so cycle accounting charges the one-time
 // translation cost. Walks that abort on indirect control carry no steps and
 // are skipped; a trailing halt is trimmed because online recordings end at
@@ -114,13 +115,13 @@ func (s *System) prebuildStatic(p *prog.Program) {
 		if w.Aborted || len(w.Steps) == 0 {
 			continue
 		}
-		steps := make([]TraceStep, 0, len(w.Steps))
+		steps := make([]dataflow.GuestStep, 0, len(w.Steps))
 		for _, st := range w.Steps {
 			in := p.Instrs[st.PC]
 			if in.Op == isa.Halt {
 				break
 			}
-			steps = append(steps, TraceStep{PC: st.PC, In: in, Next: st.Next})
+			steps = append(steps, dataflow.GuestStep{PC: st.PC, In: in, Next: st.Next})
 		}
 		if len(steps) == 0 || s.cache[w.Head] != nil {
 			continue

@@ -30,7 +30,8 @@ type Op uint8
 
 // Opcode space. Three-address ALU ops compute A := B op C; immediate forms
 // compute A := B op Imm. Control transfer ops are the only instructions
-// that may end a basic block.
+// that may end a basic block. The order matters: MovI through RemI are
+// exactly the ops Eval defines (Op.IsALU).
 const (
 	Nop Op = iota
 
@@ -114,6 +115,11 @@ func (op Op) String() string {
 // Valid reports whether op is a defined opcode.
 func (op Op) Valid() bool { return op < numOps }
 
+// IsALU reports whether the opcode writes register A with a value Eval
+// computes from its operands: the data moves MovI and Mov, and the
+// three-address and immediate ALU ops. Load is the only other write.
+func (op Op) IsALU() bool { return op >= MovI && op <= RemI }
+
 // IsControl reports whether the opcode transfers control (and therefore must
 // terminate a basic block).
 func (op Op) IsControl() bool {
@@ -167,6 +173,30 @@ func (c Cond) String() string {
 	return fmt.Sprintf("cond(%d)", uint8(c))
 }
 
+// OpByName returns the opcode whose mnemonic is name.
+func OpByName(name string) (Op, bool) {
+	op, ok := opByName[name]
+	return op, ok
+}
+
+// CondByName returns the condition whose mnemonic is name.
+func CondByName(name string) (Cond, bool) {
+	for c, n := range condNames {
+		if n == name {
+			return Cond(c), true
+		}
+	}
+	return 0, false
+}
+
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, numOps)
+	for op, n := range opNames {
+		m[n] = Op(op)
+	}
+	return m
+}()
+
 // Valid reports whether c is a defined condition.
 func (c Cond) Valid() bool { return c < numConds }
 
@@ -199,6 +229,119 @@ type Instr struct {
 	C      uint8 // source register
 	Imm    int64 // immediate operand
 	Target int32 // branch/call target address
+}
+
+// Register operand roles per opcode: the single definition of which
+// registers an instruction reads and writes (Def, Uses). Call, CallInd and
+// Ret write no register; their effect is on pc and the call stack.
+const (
+	readsA uint8 = 1 << iota
+	readsB
+	readsC
+	writesA
+)
+
+const (
+	aluRR = writesA | readsB | readsC // A := B op C
+	aluRI = writesA | readsB          // A := B op Imm
+)
+
+var opRoles = [numOps]uint8{
+	MovI: writesA,
+	Mov:  writesA | readsB,
+	Add:  aluRR, Sub: aluRR, Mul: aluRR, Div: aluRR, Rem: aluRR,
+	And: aluRR, Or: aluRR, Xor: aluRR, Shl: aluRR, Shr: aluRR,
+	AddI: aluRI, MulI: aluRI, AndI: aluRI, RemI: aluRI,
+	Load:    writesA | readsB,
+	Store:   readsA | readsB,
+	Br:      readsA | readsB,
+	BrI:     readsA,
+	JmpInd:  readsA,
+	CallInd: readsA,
+}
+
+func (in Instr) roles() uint8 {
+	if !in.Op.Valid() {
+		return 0
+	}
+	return opRoles[in.Op]
+}
+
+// Def returns the register the instruction writes, if any: A for the
+// IsALU ops and Load.
+func (in Instr) Def() (uint8, bool) {
+	if in.roles()&writesA != 0 {
+		return in.A, true
+	}
+	return 0, false
+}
+
+// Uses returns the registers the instruction reads as a bitmask (bit r for
+// register r). A register number outside the file contributes no bit.
+func (in Instr) Uses() uint32 {
+	r := in.roles()
+	var m uint32
+	if r&readsA != 0 {
+		m |= 1 << in.A
+	}
+	if r&readsB != 0 {
+		m |= 1 << in.B
+	}
+	if r&readsC != 0 {
+		m |= 1 << in.C
+	}
+	return m
+}
+
+// Eval is the machine's ALU: the value an IsALU op writes to A, given b,
+// the value of register B, and c, the value of register C for the
+// three-address forms or Imm for MovI and the immediate forms. Mov yields
+// b and MovI yields c. Division and remainder by zero yield 0, shift
+// counts use their low six bits, and Shr is arithmetic. Other ops yield 0.
+func Eval(op Op, b, c int64) int64 {
+	switch op {
+	case MovI:
+		return c
+	case Mov:
+		return b
+	case Add, AddI:
+		return b + c
+	case Sub:
+		return b - c
+	case Mul, MulI:
+		return b * c
+	case Div:
+		if c == 0 {
+			return 0
+		}
+		return b / c
+	case Rem, RemI:
+		if c == 0 {
+			return 0
+		}
+		return b % c
+	case And, AndI:
+		return b & c
+	case Or:
+		return b | c
+	case Xor:
+		return b ^ c
+	case Shl:
+		return b << (uint64(c) & 63)
+	case Shr:
+		return b >> (uint64(c) & 63)
+	}
+	return 0
+}
+
+// Result is Eval over the instruction's own operands, reading register
+// values from regs: the value an IsALU instruction writes to A.
+func (in Instr) Result(regs *[NumRegs]int64) int64 {
+	c := in.Imm
+	if in.roles()&readsC != 0 {
+		c = regs[in.C]
+	}
+	return Eval(in.Op, regs[in.B], c)
 }
 
 // Validate checks structural validity of the instruction: defined opcode and

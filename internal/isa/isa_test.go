@@ -240,3 +240,37 @@ func TestKindString(t *testing.T) {
 		t.Errorf("unknown kind string = %q", s)
 	}
 }
+
+func TestByNameRoundTrip(t *testing.T) {
+	for op := Nop; op < numOps; op++ {
+		if got, ok := OpByName(op.String()); !ok || got != op {
+			t.Errorf("OpByName(%q) = %v, %v", op.String(), got, ok)
+		}
+	}
+	for c := Eq; c < numConds; c++ {
+		if got, ok := CondByName(c.String()); !ok || got != c {
+			t.Errorf("CondByName(%q) = %v, %v", c.String(), got, ok)
+		}
+	}
+	for _, bad := range []string{"", "op(5)", "ADD", "cond(9)", "lt "} {
+		if _, ok := OpByName(bad); ok {
+			t.Errorf("OpByName(%q) succeeded", bad)
+		}
+		if _, ok := CondByName(bad); ok {
+			t.Errorf("CondByName(%q) succeeded", bad)
+		}
+	}
+}
+
+// TestDefUsesInvalid pins the behaviour on malformed instructions: an
+// undefined opcode reads and writes nothing, and an out-of-range register
+// contributes no Uses bit.
+func TestDefUsesInvalid(t *testing.T) {
+	bad := Instr{Op: numOps, A: 1, B: 2, C: 3}
+	if _, ok := bad.Def(); ok || bad.Uses() != 0 {
+		t.Errorf("invalid op: Def ok=%v Uses=%b", ok, bad.Uses())
+	}
+	if u := (Instr{Op: Add, A: 1, B: 40, C: 3}).Uses(); u != 1<<3 {
+		t.Errorf("out-of-range source: Uses = %b, want only r3", u)
+	}
+}

@@ -446,59 +446,17 @@ func opBadOpcode(m *Machine, u *uop) *uop {
 // This keeps the nil-successor test out of every hot straight-line handler:
 // the one instruction that can fall off the end is found at decode time.
 func opFallOffEnd(m *Machine, u *uop) *uop {
-	switch u.op {
-	case isa.Nop:
-	case isa.MovI:
-		m.Reg[u.a] = u.imm
-	case isa.Mov:
-		m.Reg[u.a] = m.Reg[u.b]
-	case isa.Add:
-		m.Reg[u.a] = m.Reg[u.b] + m.Reg[u.c]
-	case isa.Sub:
-		m.Reg[u.a] = m.Reg[u.b] - m.Reg[u.c]
-	case isa.Mul:
-		m.Reg[u.a] = m.Reg[u.b] * m.Reg[u.c]
-	case isa.Div:
-		if d := m.Reg[u.c]; d != 0 {
-			m.Reg[u.a] = m.Reg[u.b] / d
-		} else {
-			m.Reg[u.a] = 0
-		}
-	case isa.Rem:
-		if d := m.Reg[u.c]; d != 0 {
-			m.Reg[u.a] = m.Reg[u.b] % d
-		} else {
-			m.Reg[u.a] = 0
-		}
-	case isa.And:
-		m.Reg[u.a] = m.Reg[u.b] & m.Reg[u.c]
-	case isa.Or:
-		m.Reg[u.a] = m.Reg[u.b] | m.Reg[u.c]
-	case isa.Xor:
-		m.Reg[u.a] = m.Reg[u.b] ^ m.Reg[u.c]
-	case isa.Shl:
-		m.Reg[u.a] = m.Reg[u.b] << (uint(m.Reg[u.c]) & 63)
-	case isa.Shr:
-		m.Reg[u.a] = m.Reg[u.b] >> (uint(m.Reg[u.c]) & 63)
-	case isa.AddI:
-		m.Reg[u.a] = m.Reg[u.b] + u.imm
-	case isa.MulI:
-		m.Reg[u.a] = m.Reg[u.b] * u.imm
-	case isa.AndI:
-		m.Reg[u.a] = m.Reg[u.b] & u.imm
-	case isa.RemI:
-		if u.imm != 0 {
-			m.Reg[u.a] = m.Reg[u.b] % u.imm
-		} else {
-			m.Reg[u.a] = 0
-		}
-	case isa.Load:
+	switch {
+	case u.op.IsALU():
+		in := isa.Instr{Op: u.op, B: u.b, C: u.c, Imm: u.imm}
+		m.Reg[u.a] = in.Result(&m.Reg)
+	case u.op == isa.Load:
 		a := m.Reg[u.b] + u.imm
 		if uint64(a) >= uint64(len(m.Mem)) {
 			return m.trapf(FaultMemOOB, u.pc, "vm: memory access %d out of range [0,%d) at pc %d", a, len(m.Mem), u.pc)
 		}
 		m.Reg[u.a] = m.Mem[a]
-	case isa.Store:
+	case u.op == isa.Store:
 		a := m.Reg[u.b] + u.imm
 		if uint64(a) >= uint64(len(m.Mem)) {
 			return m.trapf(FaultMemOOB, u.pc, "vm: memory access %d out of range [0,%d) at pc %d", a, len(m.Mem), u.pc)

@@ -701,18 +701,6 @@ const (
 	clCallInd
 )
 
-// sbWrites returns the register a spec step writes, if any (the guest-level
-// write set used for guard hoisting and fact invalidation).
-func sbWrites(in isa.Instr) (uint8, bool) {
-	switch in.Op {
-	case isa.MovI, isa.Mov, isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Rem,
-		isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr,
-		isa.AddI, isa.MulI, isa.AndI, isa.RemI, isa.Load:
-		return in.A, true
-	}
-	return 0, false
-}
-
 // guardFact identifies a guard outcome that is known to hold at a program
 // point: condition, operand form, and recorded direction.
 type guardFact struct {
@@ -855,7 +843,7 @@ func CompileSuperblockFacts(spec []SBStep, progLen int, facts SBFacts) (*Superbl
 				gfacts[f] = true
 			}
 		}
-		if r, ok := sbWrites(in); ok {
+		if r, ok := in.Def(); ok {
 			written[r] = true
 			invalidate(r)
 		}
