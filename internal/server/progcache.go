@@ -3,6 +3,7 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"hash"
 	"io"
 	"math"
@@ -59,13 +60,31 @@ type progCache struct {
 
 	hits, misses, evictions atomic.Int64
 
-	// verify is the static verifier gate run on a miss (dynamo.Verify);
-	// tests wrap it to count verifier runs.
+	// The gates a miss runs, which tests wrap to count calls: verify is the
+	// static verifier (dynamo.Verify), decode the prog-document decoder
+	// (prog.DecodeJSON), and valid the JSON syntax check decodeRequest puts
+	// the body of an uncached prog document through (json.Valid).
 	verify func(*prog.Program) error
+	decode func([]byte) (*prog.Program, error)
+	valid  func([]byte) bool
 }
 
 func newProgCache() *progCache {
-	return &progCache{m: make(map[progKey]*prog.Program), verify: dynamo.Verify}
+	return &progCache{
+		m:      make(map[progKey]*prog.Program),
+		verify: dynamo.Verify,
+		decode: prog.DecodeJSON,
+		valid:  json.Valid,
+	}
+}
+
+// has reports whether k is cached, counting neither a hit nor a miss: the
+// request's one counted lookup is resolve's get.
+func (c *progCache) has(k progKey) bool {
+	c.mu.Lock()
+	_, ok := c.m[k]
+	c.mu.Unlock()
+	return ok
 }
 
 // get returns k's program, counting the lookup as a hit or a miss.

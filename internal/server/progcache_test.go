@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"netpath/internal/asm"
 	"netpath/internal/isa"
 	"netpath/internal/prog"
 	"netpath/internal/trace"
@@ -26,7 +29,7 @@ func countVerifies(s *Server) *atomic.Int64 {
 }
 
 // mustRun submits body and fails the test on anything but a 200.
-func mustRun(t *testing.T, url string, body map[string]any) *runResponse {
+func mustRun(t *testing.T, url string, body any) *runResponse {
 	t.Helper()
 	code, rr, apiErr, _ := postRun(t, url, body)
 	if code != http.StatusOK {
@@ -218,22 +221,27 @@ func TestProgCacheEviction(t *testing.T) {
 	}
 }
 
-// TestProgCacheConcurrent: concurrent submissions of one program resolve
-// cleanly (run under -race) and leave one resident program behind.
+// TestProgCacheConcurrent: concurrent submissions of one program, as asm
+// text and as a prog document read in place from pooled body buffers,
+// resolve cleanly (run under -race) and leave one resident program per form.
 func TestProgCacheConcurrent(t *testing.T) {
 	cfg := quietCfg(t)
 	cfg.QueueDepth = 64
 	cfg.QueueDepthPerTenant = 64
 	s, ts := startServer(t, cfg)
 	verifies := countVerifies(s)
+	bodies := []map[string]any{
+		{"tenant": "a", "asm": countAsm},
+		{"tenant": "a", "prog": json.RawMessage(encodeAsm(t, countAsm))},
+	}
 	const clients, each = 8, 4
 	var wg sync.WaitGroup
-	for range clients {
+	for c := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for range each {
-				code, rr, apiErr, _ := postRun(t, ts.URL, map[string]any{"tenant": "a", "asm": countAsm})
+				code, rr, apiErr, _ := postRun(t, ts.URL, bodies[c%len(bodies)])
 				if code != http.StatusOK || rr.Regs[0] != 1000 {
 					t.Errorf("status %d err %+v", code, apiErr)
 					return
@@ -242,11 +250,11 @@ func TestProgCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n, _ := s.progs.stats(); n != 1 {
-		t.Fatalf("%d programs resident, want 1", n)
+	if n, _ := s.progs.stats(); n != len(bodies) {
+		t.Fatalf("%d programs resident, want %d", n, len(bodies))
 	}
 	h, m := s.progs.hits.Load(), s.progs.misses.Load()
-	if h+m != clients*each || m < 1 || verifies.Load() != m {
+	if h+m != clients*each || m < int64(len(bodies)) || verifies.Load() != m {
 		t.Fatalf("hits=%d misses=%d verifies=%d over %d submissions", h, m, verifies.Load(), clients*each)
 	}
 }
@@ -271,7 +279,29 @@ func TestProgCacheObservability(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/statusz")
+	if pc := progCacheStatus(t, ts.URL); pc.Hits != 3 || pc.Misses != 1 || pc.HitRatio != 0.75 || pc.Programs != 1 || pc.Instrs == 0 {
+		t.Fatalf("/statusz prog_cache = %+v, want 3 hits, 1 miss, ratio 0.75, 1 program", pc)
+	}
+}
+
+// encodeAsm assembles src and returns its netpath-prog/v1 document.
+func encodeAsm(t *testing.T, src string) []byte {
+	t.Helper()
+	p, err := asm.Parse("count", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := prog.EncodeJSON(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// progCacheStatus fetches /statusz and returns its prog_cache section.
+func progCacheStatus(t *testing.T, url string) statuszProgCache {
+	t.Helper()
+	resp, err := http.Get(url + "/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +310,63 @@ func TestProgCacheObservability(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	pc := doc.ProgCache
-	if pc.Hits != 3 || pc.Misses != 1 || pc.HitRatio != 0.75 || pc.Programs != 1 || pc.Instrs == 0 {
-		t.Fatalf("/statusz prog_cache = %+v, want 3 hits, 1 miss, ratio 0.75, 1 program", pc)
+	return doc.ProgCache
+}
+
+// TestProgCacheHitPath: a repeat submission of a cached prog document is
+// trusted by its SHA-256 key, so neither json.Valid nor prog.DecodeJSON
+// reads it, while /statusz still counts each request once. A document one
+// byte apart is checked, decoded and verified again, and a malformed one
+// gets the oracle decoder's 400 although its tenant has programs cached.
+func TestProgCacheHitPath(t *testing.T) {
+	s, ts := startServer(t, quietCfg(t))
+	verifies := countVerifies(s)
+	var decodes, valids atomic.Int64
+	decode, valid := s.progs.decode, s.progs.valid
+	s.progs.decode = func(b []byte) (*prog.Program, error) {
+		decodes.Add(1)
+		return decode(b)
 	}
+	s.progs.valid = func(b []byte) bool {
+		valids.Add(1)
+		return valid(b)
+	}
+	doc := encodeAsm(t, countAsm)
+	body := func(doc []byte) []byte {
+		return []byte(`{"tenant":"a","prog":` + string(doc) + `}`)
+	}
+	counts := func(when string, wantDecodes, wantChecks, wantHits, wantMisses int64) {
+		t.Helper()
+		if d, v, vf := decodes.Load(), valids.Load(), verifies.Load(); d != wantDecodes || vf != wantDecodes || v != wantChecks {
+			t.Fatalf("%s: %d decodes, %d verifies, %d JSON checks; want %d, %d, %d",
+				when, d, vf, v, wantDecodes, wantDecodes, wantChecks)
+		}
+		if pc := progCacheStatus(t, ts.URL); pc.Hits != wantHits || pc.Misses != wantMisses {
+			t.Fatalf("%s: /statusz prog_cache %+v, want %d hits, %d misses", when, pc, wantHits, wantMisses)
+		}
+	}
+
+	for range 4 {
+		if rr := mustRun(t, ts.URL, body(doc)); rr.Regs[0] != 1000 {
+			t.Fatalf("r0 = %d, want 1000", rr.Regs[0])
+		}
+	}
+	counts("four submissions", 1, 1, 3, 1)
+
+	spaced := append([]byte("{ "), doc[1:]...)
+	if rr := mustRun(t, ts.URL, body(spaced)); rr.Regs[0] != 1000 {
+		t.Fatalf("r0 = %d, want 1000", rr.Regs[0])
+	}
+	counts("a document one space apart", 2, 2, 3, 2)
+
+	bad := body(append(doc[:len(doc)-1:len(doc)-1], ",}"...))
+	_, wantErr := oracleDecode(bytes.NewReader(bad))
+	code, _, apiErr, _ := postRun(t, ts.URL, bad)
+	if wantErr == nil || code != wantErr.status || apiErr.Code != wantErr.Code || apiErr.Message != wantErr.Message {
+		t.Fatalf("malformed document: %d %+v, want %+v", code, apiErr, wantErr)
+	}
+	if code != http.StatusBadRequest || apiErr.Code != CodeBadRequest || !strings.HasPrefix(apiErr.Message, "malformed JSON") {
+		t.Fatalf("malformed document: %d %+v, want 400 %s malformed JSON", code, apiErr, CodeBadRequest)
+	}
+	counts("a malformed document", 2, 3, 3, 2)
 }

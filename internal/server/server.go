@@ -11,6 +11,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -344,9 +345,9 @@ func (s *Server) maybeRecover() {
 	}
 }
 
-// handleRun is the submission path: decode → tenant/rate gate → resolve
-// (program cache hit, or parse + verify once; quotas always) → enqueue →
-// wait → respond.
+// handleRun is the submission path: read → decode (a cached prog document
+// is hashed, not parsed) → tenant/rate gate → resolve (program cache hit,
+// or parse + verify once; quotas always) → enqueue → wait → respond.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	telSubmits.Inc()
 	s.maybeRecover()
@@ -358,17 +359,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Quotas.MaxBodyBytes)
-	req, apiErr := decodeRequest(r.Body)
-	if apiErr == nil {
-		apiErr = req.validate()
+	body := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(body)
+	body.Reset()
+	if n := r.ContentLength; n > 0 && n <= s.cfg.Quotas.MaxBodyBytes {
+		body.Grow(int(n) + bytes.MinRead) // ReadFrom grows when less than MinRead is spare
 	}
+	_, readErr := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.Quotas.MaxBodyBytes))
+	req, apiErr := decodeRequest(body.Bytes(), readErr, s.progs)
 	if apiErr != nil {
 		telRejected.Inc()
 		apiErr.write(w)
 		return
 	}
-	defer req.Prog.release()
 
 	tenant, ok := s.tenants.get(req.Tenant)
 	if !ok {

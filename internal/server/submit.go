@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"netpath/internal/asm"
 	"netpath/internal/dynamo"
@@ -27,8 +29,10 @@ type runRequest struct {
 
 	// Asm is internal/asm assembly text.
 	Asm string `json:"asm,omitempty"`
-	// Prog is an encoded netpath-prog/v1 program document.
-	Prog progDoc `json:"prog,omitempty"`
+	// Prog is an encoded netpath-prog/v1 program document. On the request
+	// path it aliases the pooled body buffer, so it is read only until
+	// handleRun returns.
+	Prog json.RawMessage `json:"prog,omitempty"`
 	// Bench names a built-in workload benchmark; Scale sizes it.
 	Bench string  `json:"bench,omitempty"`
 	Scale float64 `json:"scale,omitempty"`
@@ -51,37 +55,9 @@ type runRequest struct {
 	ChaosSoftPerM float64 `json:"chaos_soft_per_m,omitempty"`
 
 	// resolved by decode/resolve, not wire fields
+	key     progKey // programKey, hashed once by decodeRequest
 	program *prog.Program
 	scheme  dynamo.Scheme
-}
-
-// progDoc holds a submission's raw prog document in a pooled buffer. The
-// document is read only while its request resolves — hashed for the
-// program-cache key, decoded on a miss — so handleRun returns the buffer
-// with release, and the next submission reuses it instead of allocating
-// one the size of a program per request.
-type progDoc []byte
-
-var docPool sync.Pool // *[]byte
-
-func (d *progDoc) UnmarshalJSON(b []byte) error {
-	var buf []byte
-	if p, ok := docPool.Get().(*[]byte); ok {
-		buf = *p
-	}
-	*d = append(buf[:0], b...)
-	return nil
-}
-
-// release returns the document's buffer to the pool; d must not be read
-// afterwards.
-func (d *progDoc) release() {
-	if cap(*d) == 0 {
-		return
-	}
-	buf := []byte(*d)
-	*d = nil
-	docPool.Put(&buf)
 }
 
 // runResponse is the successful POST /v1/run reply.
@@ -114,11 +90,79 @@ type runResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// maxDecodeDepth bounds nothing today (the envelope is flat) but
-// MaxBytesReader bounds everything: decodeRequest must be called with a body
-// already wrapped by http.MaxBytesReader.
-func decodeRequest(body io.Reader) (*runRequest, *apiError) {
-	dec := json.NewDecoder(body)
+// bodyPool recycles request-body buffers. handleRun reads each submission
+// into one, and the prog document stays a sub-slice of it until the request
+// is answered, so a repeat submission copies its program nowhere.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeRequest decodes and validates a submission read in full into body;
+// readErr is what ended the read (nil at EOF, a *http.MaxBytesError past the
+// body quota). A body with a prog document goes through decodeProg. Every
+// other body, and every one decodeProg turns down, is decoded by
+// decodeEnvelope exactly as it streamed in, so each error keeps the status,
+// code and message encoding/json gives it, in the same order of checks.
+func decodeRequest(body []byte, readErr error, pc *progCache) (*runRequest, *apiError) {
+	if readErr == nil {
+		if req := decodeProg(body, pc); req != nil {
+			return req, nil
+		}
+	}
+	var src io.Reader = bytes.NewReader(body)
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
+	req, e := decodeEnvelope(src)
+	if e == nil {
+		e = req.validate()
+	}
+	if e != nil {
+		return nil, e
+	}
+	req.key = req.programKey()
+	return req, nil
+}
+
+// decodeProg decodes a submission of a prog document without handing the
+// document to encoding/json, which would scan it twice. encoding/json gets
+// only the envelope, the body with {} spliced in for the document, and the
+// document is hashed once for its program-cache key.
+//
+// A document whose key is cached needs no check: its bytes are
+// SHA-256-identical to a document that was decoded and verified before,
+// inside a body that passed encoding/json's syntax check, so it is one JSON
+// value, nested shallowly enough, and findProg's span for it is exact. Any
+// other document is checked here, before a later check can answer first:
+// the whole body must pass json.Valid (on the document alone it would allow
+// one nesting level too many) and a rescan must confirm the span.
+//
+// decodeProg returns nil for anything irregular or failing, and
+// decodeRequest decodes the whole body instead.
+func decodeProg(body []byte, pc *progCache) *runRequest {
+	vs, ve, ok := findProg(body)
+	if !ok {
+		return nil
+	}
+	env := make([]byte, 0, len(body)-(ve-vs)+2)
+	env = append(append(append(env, body[:vs]...), "{}"...), body[ve:]...)
+	req, e := decodeEnvelope(bytes.NewReader(env))
+	if e != nil {
+		return nil
+	}
+	req.Prog = body[vs:ve]
+	if req.validate() != nil {
+		return nil
+	}
+	req.key = req.programKey()
+	if !pc.has(req.key) && !(pc.valid(body) && skipValue(body, vs) == ve) {
+		return nil
+	}
+	return req
+}
+
+// decodeEnvelope decodes one JSON request object from src, which must end
+// where the body does — at its end, or at the read error that cut it off.
+func decodeEnvelope(src io.Reader) (*runRequest, *apiError) {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	var req runRequest
 	if err := dec.Decode(&req); err != nil {
@@ -135,6 +179,163 @@ func decodeRequest(body io.Reader) (*runRequest, *apiError) {
 	}
 	return &req, nil
 }
+
+// errReader replays the error that ended a body read, after its bytes.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// findProg locates the value of body's top-level "prog" member, an object,
+// as body[vs:ve]. It tracks only strings, escapes and nesting, which is
+// exact on well-formed JSON; whatever it reports on anything else, the
+// envelope decode and the document's check in decodeProg refuse. It
+// declines (ok = false) a body that is not an object, a prog that is not an
+// object or not the only one, and any key that encoding/json might match
+// to the prog field other than the plain "prog": one with an escape, a
+// non-ASCII byte, or another case. It scans no further than the document
+// when lastMember guesses where that ends; keys after it then lie inside
+// the guessed bytes, which fail decodeProg's check.
+func findProg(body []byte) (vs, ve int, ok bool) {
+	i := skipSpace(body, 0)
+	if i == len(body) || body[i] != '{' {
+		return 0, 0, false
+	}
+	vs = -1
+	for i++; ; {
+		i = skipSpace(body, i)
+		if i == len(body) {
+			return 0, 0, false
+		}
+		switch body[i] {
+		case '}':
+			return vs, ve, vs >= 0
+		case ',':
+			i++
+			continue
+		case '"':
+		default:
+			return 0, 0, false
+		}
+		end := skipString(body, i+1)
+		if end < 0 {
+			return 0, 0, false
+		}
+		key := body[i+1 : end]
+		i = skipSpace(body, end+1)
+		if i == len(body) || body[i] != ':' {
+			return 0, 0, false
+		}
+		i = skipSpace(body, i+1)
+		if i == len(body) {
+			return 0, 0, false
+		}
+		isProg := string(key) == "prog"
+		if isProg && (vs >= 0 || body[i] != '{') || !isProg && !plainKey(key) {
+			return 0, 0, false
+		}
+		if isProg {
+			if ve := lastMember(body); ve > i {
+				return i, ve, true
+			}
+		}
+		end = skipValue(body, i)
+		if end < 0 {
+			return 0, 0, false
+		}
+		if isProg {
+			vs, ve = i, end
+		}
+		i = end
+	}
+}
+
+// lastMember returns the index just past body's last member value when
+// that value is an object, closing just before the body's own closing
+// brace; else -1. A client usually sends the prog document last, so
+// findProg takes it to end there rather than scan it. decodeProg checks
+// the guess: the bytes of a cached document are one JSON value, so a guess
+// can only hit if it is right, and a miss rescans the document anyway.
+func lastMember(body []byte) int {
+	j := len(body)
+	for range 2 {
+		for j > 0 && isSpace(body[j-1]) {
+			j--
+		}
+		if j == 0 || body[j-1] != '}' {
+			return -1
+		}
+		j--
+	}
+	return j + 1
+}
+
+// plainKey reports whether encoding/json matches key to the prog field
+// only if it is "prog" itself.
+func plainKey(key []byte) bool {
+	for _, c := range key {
+		if c == '\\' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return !bytes.EqualFold(key, []byte("prog"))
+}
+
+// skipValue returns the index just past the JSON value starting at b[i], or
+// -1 if b ends first.
+func skipValue(b []byte, i int) int {
+	switch b[i] {
+	case '"':
+		if i = skipString(b, i+1); i < 0 {
+			return -1
+		}
+		return i + 1
+	case '{', '[':
+		depth := 0
+		for ; i < len(b); i++ {
+			switch b[i] {
+			case '"':
+				if i = skipString(b, i+1); i < 0 {
+					return -1
+				}
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+		}
+		return -1
+	}
+	// A number or literal runs to the next delimiter.
+	for i < len(b) && !isSpace(b[i]) && b[i] != ',' && b[i] != '}' && b[i] != ']' {
+		i++
+	}
+	return i
+}
+
+// skipString returns the index of the quote closing the string whose body
+// starts at b[i], or -1 if b ends first.
+func skipString(b []byte, i int) int {
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			return i
+		case '\\':
+			i++
+		}
+	}
+	return -1
+}
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	return i
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // validate checks the envelope shape (cheap, before any admission cost).
 func (r *runRequest) validate() *apiError {
@@ -191,10 +392,9 @@ func (r *runRequest) validate() *apiError {
 // run's own load-time gate hits the same verdict; only accepted programs
 // are cached. hit reports whether the cache supplied the program.
 func (r *runRequest) resolve(q Quotas, pc *progCache) (hit bool, e *apiError) {
-	key := r.programKey()
-	p, hit := pc.get(key)
+	p, hit := pc.get(r.key)
 	if !hit {
-		if p, e = r.build(); e != nil {
+		if p, e = r.build(pc); e != nil {
 			return false, e
 		}
 	}
@@ -218,7 +418,7 @@ func (r *runRequest) resolve(q Quotas, pc *progCache) (hit bool, e *apiError) {
 		if err := pc.verify(p); err != nil {
 			return false, errf(CodeVerify, http.StatusUnprocessableEntity, "verifier rejected program: %v", err)
 		}
-		p = pc.put(key, p)
+		p = pc.put(r.key, p)
 	}
 	if r.Name == "" {
 		r.Name = p.Name
@@ -236,7 +436,7 @@ func (r *runRequest) resolve(q Quotas, pc *progCache) (hit bool, e *apiError) {
 }
 
 // build assembles, decodes, or builds the submitted program.
-func (r *runRequest) build() (*prog.Program, *apiError) {
+func (r *runRequest) build(pc *progCache) (*prog.Program, *apiError) {
 	switch {
 	case r.Asm != "":
 		p, err := asm.Parse(r.asmName(), r.Asm)
@@ -245,7 +445,7 @@ func (r *runRequest) build() (*prog.Program, *apiError) {
 		}
 		return p, nil
 	case len(r.Prog) > 0:
-		p, err := prog.DecodeJSON(r.Prog)
+		p, err := pc.decode(r.Prog)
 		if err != nil {
 			return nil, errf(CodeParse, http.StatusBadRequest, "decode prog: %v", err)
 		}

@@ -133,7 +133,7 @@ type SpanKind uint8
 // Pipeline phase kinds, in rough pipeline order.
 const (
 	SpanRequest      SpanKind = iota // whole request, the tree root
-	SpanAdmission                    // decode + validate + rate/quota checks
+	SpanAdmission                    // body read + decode (prog-document hash and cache lookup) + validate + tenant/rate checks
 	SpanVerify                       // assemble/decode + static CFG verification; site 1 = program-cache hit (neither ran)
 	SpanQueueWait                    // admission enqueue → worker dequeue
 	SpanRestore                      // snapshot restore into the fragment cache
