@@ -56,7 +56,7 @@ func main() {
 	snapIn := flag.String("snapshot-in", "", "warm-start from the profile snapshot file (matched by program fingerprint)")
 	snapOut := flag.String("snapshot-out", "", "write a profile snapshot file at exit")
 	snapEvery := flag.Int("snapshot-every", 0, "with -snapshot-out: also capture every n path events, merged into the output (0 = exit only)")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry (/metrics, /snapshot, /events, pprof) on this address and enable collection")
+	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry (/metrics, /snapshot, pprof) on this address and enable collection")
 	telemetryHold := flag.Duration("telemetry-hold", 0, "keep the telemetry server (and process) alive this long after the work completes")
 	traceOut := flag.String("trace", "", "capture a span trace of the run and write netpath-trace/v1 JSON to this file (\"-\" = stdout; wants exactly one benchmark)")
 	flag.Parse()
@@ -67,7 +67,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		log.Printf("telemetry: serving /metrics /snapshot /events on http://%s", addr)
+		log.Printf("telemetry: serving /metrics /snapshot on http://%s", addr)
 		if *telemetryHold > 0 {
 			hold := *telemetryHold
 			defer func() {

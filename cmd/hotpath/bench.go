@@ -186,10 +186,10 @@ func runBenchSuite(scale float64, out string) error {
 		}
 	})
 	micro("telemetry_emit", func(b *testing.B) {
-		// The raw hot-path write: counter add + histogram observe + ring
-		// event. Must report 0 allocs/op; gate_test.go re-checks it as a
-		// hard zero independent of this baseline.
-		reg := telemetry.NewRegistry(1 << 10)
+		// The raw hot-path write: counter add + histogram observe. Must
+		// report 0 allocs/op; gate_test.go re-checks it as a hard zero
+		// independent of this baseline.
+		reg := telemetry.NewRegistry()
 		c := reg.Counter("bench_events_total", "bench")
 		h := reg.Histogram("bench_sizes", "bench")
 		s := reg.NewSink()
@@ -198,7 +198,6 @@ func runBenchSuite(scale float64, out string) error {
 		for i := 0; i < b.N; i++ {
 			s.Inc(c)
 			s.Observe(h, int64(i&1023))
-			s.Emit(telemetry.EvFragEnter, int64(i), 7, 0)
 		}
 	})
 

@@ -47,7 +47,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry (/metrics, /snapshot, /events, pprof) on this address and enable collection")
+	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry (/metrics, /snapshot, pprof) on this address and enable collection")
 	telemetryHold := flag.Duration("telemetry-hold", 0, "keep the telemetry server (and process) alive this long after the work completes")
 	progress := flag.Duration("progress", 0, "print a progress line (cells done, ETA) to stderr at this interval")
 	flag.Parse()
@@ -60,7 +60,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics /snapshot /events on http://%s\n", addr)
+		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics /snapshot on http://%s\n", addr)
 		if *telemetryHold > 0 {
 			hold := *telemetryHold
 			defer func() {

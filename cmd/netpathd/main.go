@@ -21,7 +21,6 @@
 //	GET  /statusz        admission/ladder/tenant state (JSON)
 //	GET  /metrics        Prometheus text (VM + dynamo + server instruments)
 //	GET  /snapshot       versioned JSON telemetry snapshot
-//	GET  /events         telemetry event ring drain
 //	GET  /v1/trace/{id}  retained span trace (netpath-trace/v1 JSON)
 //	GET  /debug/flight   flight-recorder freezes (netpath-flight/v1 JSON)
 //

@@ -275,12 +275,12 @@ func TestRestoreDispatchZeroAlloc(t *testing.T) {
 }
 
 // TestTelemetryZeroAllocGate pins the telemetry write path — counter add,
-// histogram observe, gauge set, ring emit — at exactly zero allocations per
+// histogram observe, gauge set — at exactly zero allocations per
 // op, independent of any committed baseline. This is the hard gate behind
 // the layer's zero-allocation claim; the matching ns/op cost is recorded as
 // the telemetry_emit entry of BENCH_hotpath.json.
 func TestTelemetryZeroAllocGate(t *testing.T) {
-	reg := telemetry.NewRegistry(1 << 10)
+	reg := telemetry.NewRegistry()
 	c := reg.Counter("gate_events_total", "gate")
 	h := reg.Histogram("gate_sizes", "gate")
 	g := reg.Gauge("gate_len", "gate")
@@ -291,10 +291,9 @@ func TestTelemetryZeroAllocGate(t *testing.T) {
 		s.Add(c, 3)
 		s.Observe(h, i&1023)
 		s.Set(g, i)
-		s.Emit(telemetry.EvFragEnter, i, 7, i)
 		i++
 	}); n != 0 {
-		t.Errorf("telemetry emit path: %v allocs/op, must be 0", n)
+		t.Errorf("telemetry write path: %v allocs/op, must be 0", n)
 	}
 }
 
@@ -312,6 +311,7 @@ func TestTraceSampledOutZeroAllocGate(t *testing.T) {
 		id := tr.Begin(trace.SpanExecute, trace.NoSpan, 0, i)
 		tr.SetArg(id, 0, i)
 		tr.Add(trace.SpanTraceSelect, id, 0, i, int32(i), i)
+		tr.Instant(trace.SpanFragEmit, id, int32(i), i)
 		tr.End(id)
 		tr.EndAt(id, i)
 		tr.SetErr("")

@@ -481,8 +481,7 @@ func New(p *prog.Program, cfg Config) *System {
 		// failure path only, never per instruction.
 		tr, parent := s.tr, s.trParent
 		s.m.SetFaultObserver(func(kind vm.FaultKind, pc int, step int64) {
-			now := tr.Now()
-			tr.Add(trace.SpanFault, parent, now, now, int32(pc), int64(kind))
+			tr.Instant(trace.SpanFault, parent, int32(pc), int64(kind))
 		})
 	}
 	// Load-time gate: the static verifier (internal/cfg) must accept the
@@ -783,10 +782,7 @@ func (s *System) stepInterp() error {
 				if d, ok := s.inj.CorruptCounter(s.m.Steps); ok {
 					s.corruptPathCount(id, d)
 					s.res.Corruptions++
-					if s.tel != nil {
-						s.tel.Inc(telCorruptions)
-						s.tel.Emit(telemetry.EvChaosInject, s.m.Steps, s.capStart, chaosArgCorrupt)
-					}
+					s.event(trace.SpanChaosInject, telCorruptions, s.capStart, chaosArgCorrupt)
 				}
 			}
 			if s.pathCount(id) && s.tel != nil {
@@ -794,7 +790,6 @@ func (s *System) stepInterp() error {
 				// of a head promotion.
 				s.tel.Inc(telHeadPromotions)
 				s.tel.Observe(telPromoteCounter, s.cfg.Tau)
-				s.tel.Emit(telemetry.EvHeadPromote, s.m.Steps, s.capStart, s.cfg.Tau)
 			}
 			if s.armed[id] && s.cache[s.capStart] == nil && !s.capAborted && s.black.allow(s.capStart) {
 				delete(s.armed, id)
@@ -862,9 +857,6 @@ func (s *System) atPathStart(addr int) {
 		s.mode = modeFragment
 		s.frag = fr
 		s.fpos = 0
-		if s.tel != nil && s.res.FragEnters&telSampleMask == 0 {
-			s.tel.Emit(telemetry.EvFragEnter, s.m.Steps, addr, 0)
-		}
 		return
 	}
 	// Interpreting from addr: reset the scheme's per-path state.
@@ -875,10 +867,7 @@ func (s *System) atPathStart(addr int) {
 			if d, ok := s.inj.CorruptCounter(s.m.Steps); ok {
 				s.heads.add(addr, d)
 				s.res.Corruptions++
-				if s.tel != nil {
-					s.tel.Inc(telCorruptions)
-					s.tel.Emit(telemetry.EvChaosInject, s.m.Steps, addr, chaosArgCorrupt)
-				}
+				s.event(trace.SpanChaosInject, telCorruptions, addr, chaosArgCorrupt)
 			}
 		}
 		n := s.heads.add(addr, 1)
@@ -892,15 +881,11 @@ func (s *System) atPathStart(addr int) {
 				s.selSpan = s.tr.Begin(trace.SpanTraceSelect, s.trParent, int32(addr), n)
 				if force && n < s.cfg.Tau {
 					s.res.ForcedSelections++
-					if s.tel != nil {
-						s.tel.Inc(telForcedSelects)
-						s.tel.Emit(telemetry.EvChaosInject, s.m.Steps, addr, chaosArgSpike)
-					}
+					s.event(trace.SpanChaosInject, telForcedSelects, addr, chaosArgSpike)
 				}
 				if s.tel != nil {
 					s.tel.Inc(telHeadPromotions)
 					s.tel.Observe(telPromoteCounter, n)
-					s.tel.Emit(telemetry.EvHeadPromote, s.m.Steps, addr, n)
 				}
 			}
 		}
@@ -939,14 +924,9 @@ func (s *System) emit(start int, steps []dataflow.GuestStep) {
 	}
 	s.cache[start] = fr
 	s.res.Fragments++
+	s.event(trace.SpanFragEmit, telFragCreated, start, int64(len(steps)))
 	if s.tel != nil {
-		s.tel.Inc(telFragCreated)
 		s.tel.Observe(telFragSize, int64(len(steps)))
-		s.tel.Emit(telemetry.EvFragEmit, s.m.Steps, start, int64(len(steps)))
-	}
-	if s.tr != nil {
-		now := s.tr.Now()
-		s.tr.Add(trace.SpanFragEmit, s.trParent, now, now, int32(start), int64(len(steps)))
 	}
 	if !s.everCached[start] {
 		s.everCached[start] = true
@@ -959,10 +939,7 @@ func (s *System) flush() {
 	s.cache = make(map[int]*Fragment)
 	s.res.Flushes++
 	s.res.TransCycles += s.cfg.Costs.FlushCost
-	if s.tel != nil {
-		s.tel.Inc(telFlushes)
-		s.tel.Emit(telemetry.EvFlush, s.m.Steps, 0, int64(resident))
-	}
+	s.event(trace.SpanFlush, telFlushes, 0, int64(resident))
 }
 
 // onPathEvent drives the flush and bail-out heuristics (and the optional
@@ -1035,14 +1012,7 @@ func (s *System) bail(reason string) {
 	s.skipping = false
 	s.tr.End(s.selSpan)
 	s.selSpan = trace.NoSpan
-	if s.tel != nil {
-		s.tel.Inc(telBailouts)
-		s.tel.Emit(telemetry.EvBail, s.m.Steps, 0, bailReasonCode(reason))
-	}
-	if s.tr != nil {
-		now := s.tr.Now()
-		s.tr.Add(trace.SpanBail, s.trParent, now, now, 0, bailReasonCode(reason))
-	}
+	s.event(trace.SpanBail, telBailouts, 0, bailReasonCode(reason))
 }
 
 // runFragment executes fragments on their compiled step arrays until control
@@ -1188,27 +1158,18 @@ func (s *System) stepFragmentSlow() error {
 			s.res.FragAborts++
 			s.frag.Aborts++
 			head := s.frag.Start
-			if s.tel != nil {
-				s.tel.Inc(telFragAborts)
-				s.tel.Emit(telemetry.EvChaosInject, s.m.Steps, head, chaosArgFragAbort)
-			}
+			s.event(trace.SpanChaosInject, telFragAborts, head, chaosArgFragAbort)
 			if s.cfg.DemoteAfterAborts > 0 && s.frag.Aborts >= int64(s.cfg.DemoteAfterAborts) {
 				if s.cache[head] == s.frag {
 					delete(s.cache, head)
 				}
 				s.res.Demotions++
 				s.blacklistHead(head, -1)
-				if s.tel != nil {
-					s.tel.Inc(telDemotions)
-					s.tel.Emit(telemetry.EvFragDemote, s.m.Steps, head, s.frag.Aborts)
-				}
+				s.event(trace.SpanFragDemote, telDemotions, head, s.frag.Aborts)
 			}
 			s.res.TransCycles += c.FragExit
 			s.res.FragExits++
 			s.mode = modeInterp
-			if s.tel != nil && s.res.FragExits&telSampleMask == 0 {
-				s.tel.Emit(telemetry.EvFragExit, s.m.Steps, s.m.PC, 0)
-			}
 			s.tracker.Restart(s.m.PC)
 			if s.cfg.Scheme != SchemePathProfile || s.fpos == 0 {
 				// The abort point is a (potential) trace head: NET and the
@@ -1273,17 +1234,11 @@ func (s *System) leaveFragment(target int, completedPath bool) {
 		fr.Enters++
 		s.frag = fr
 		s.fpos = 0
-		if s.tel != nil && s.res.LinkedJumps&telSampleMask == 0 {
-			s.tel.Emit(telemetry.EvFragLink, s.m.Steps, target, 0)
-		}
 		return
 	}
 	s.res.TransCycles += c.FragExit
 	s.res.FragExits++
 	s.mode = modeInterp
-	if s.tel != nil && s.res.FragExits&telSampleMask == 0 {
-		s.tel.Emit(telemetry.EvFragExit, s.m.Steps, target, 0)
-	}
 	if completedPath {
 		// The target is a genuine path head under either scheme.
 		s.tracker.Restart(target)

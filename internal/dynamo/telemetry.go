@@ -8,6 +8,7 @@ package dynamo
 
 import (
 	"netpath/internal/telemetry"
+	"netpath/internal/trace"
 )
 
 // Counters: lifetime totals aggregated across every System (the parallel
@@ -81,17 +82,13 @@ var (
 		"head-counter value when a trace was selected (tau, unless spiked or corrupted)")
 )
 
-// telSampleMask decimates ring events for the three per-path-rate
-// transitions (fragment enter, linked jump, exit): one event in 64 is
-// recorded, keyed off the result counters that count them exactly. The
-// counters stay exact — only the event stream is sampled — and the enabled
-// path stays within the <= 5% overhead budget on fully-cached runs, where
-// every one of the millions of path completions crosses one of these sites.
-// All other kinds (promotions, emissions, demotions, flushes, blacklists,
-// chaos, bails, faults) are rare and recorded unsampled.
+// telSampleMask decimates the path-length histogram: one completed
+// interpreted path in 64 is observed, keyed off the exact PathEvents
+// counter, so the enabled path stays within the <= 5% overhead budget on
+// runs where millions of paths complete.
 const telSampleMask = 63
 
-// Chaos-injection codes carried in EvChaosInject's Arg.
+// Chaos-injection codes carried in a chaos-inject span's Arg.
 const (
 	chaosArgRecordAbort = iota
 	chaosArgFragAbort
@@ -99,7 +96,7 @@ const (
 	chaosArgSpike
 )
 
-// bailReasonCode maps BailReason strings to EvBail Arg codes.
+// bailReasonCode maps BailReason strings to bail span Arg codes.
 func bailReasonCode(reason string) int64 {
 	switch reason {
 	case "low-reuse":
@@ -112,20 +109,30 @@ func bailReasonCode(reason string) int64 {
 	return -1
 }
 
-// blacklistHead raises head's recording backoff and emits the blacklist
-// event. chaosArg >= 0 additionally accounts the injected fault that caused
-// the abort (chaosArg* codes above); pass -1 when the caller accounts the
+// event records one engine event at its site, into whichever of the two
+// sinks is on: it bumps c through the telemetry Sink, and adds an instant
+// span of kind carrying site and arg to the run's trace. Counters keep exact
+// totals; the span is the per-event record. With both sinks off it costs
+// two nil checks.
+func (s *System) event(kind trace.SpanKind, c *telemetry.Counter, site int, arg int64) {
+	if s.tel != nil {
+		s.tel.Inc(c)
+	}
+	s.tr.Instant(kind, s.trParent, int32(site), arg)
+}
+
+// blacklistHead raises head's recording backoff and records the blacklist
+// event. chaosArg >= 0 additionally records the injected fault that caused
+// the abort (chaosArg* codes above); pass -1 when the caller records the
 // injection itself (the fragment-abort demotion path).
 func (s *System) blacklistHead(head int, chaosArg int64) {
 	aborts := s.black.abort(head)
-	if s.tel == nil {
-		return
-	}
 	if chaosArg >= 0 {
-		s.tel.Inc(telRecordAborts)
-		s.tel.Emit(telemetry.EvChaosInject, s.m.Steps, head, chaosArg)
+		s.event(trace.SpanChaosInject, telRecordAborts, head, chaosArg)
 	}
-	s.tel.Emit(telemetry.EvBlacklist, s.m.Steps, head, int64(aborts))
+	// A blacklist has no counter of its own: the record abort or demotion
+	// that caused it is the counted event.
+	s.tr.Instant(trace.SpanBlacklist, s.trParent, int32(head), int64(aborts))
 }
 
 // syncTelemetry folds the accounting accumulated since the last sync into

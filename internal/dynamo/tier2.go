@@ -299,8 +299,7 @@ func (c *Tier2Compiler) compile(j *t2Job) {
 	telT2CompileUs.Observe(time.Since(start).Microseconds())
 	if j.tr != nil {
 		cs := j.tr.Add(trace.SpanTier2Compile, j.trParent, traceStart, j.tr.Now(), int32(j.fr.Start), int64(n))
-		now := j.tr.Now()
-		j.tr.Add(trace.SpanPromote, cs, now, now, int32(j.fr.Start), int64(n))
+		j.tr.Instant(trace.SpanPromote, cs, int32(j.fr.Start), int64(n))
 	}
 }
 
@@ -383,13 +382,7 @@ func (s *System) maybePromote(fr *Fragment) {
 	}
 	fr.t2Queued = true
 	s.res.T2Promotions++
-	if s.tel != nil {
-		s.tel.Inc(telT2Promotions)
-	}
-	if s.tr != nil {
-		now := s.tr.Now()
-		s.tr.Add(trace.SpanTier2Enqueue, s.trParent, now, now, int32(fr.Start), fr.Completions)
-	}
+	s.event(trace.SpanTier2Enqueue, telT2Promotions, fr.Start, fr.Completions)
 	// Donate the rest of this quantum to the compile worker. The enqueue
 	// above never blocks, but on GOMAXPROCS=1 the worker otherwise waits
 	// for the next involuntary preemption (~10ms) — most of a short run —
@@ -562,9 +555,6 @@ func (s *System) t2Boundaries(blk *t2Block, n int, exitPC int, exit bool) {
 			s.res.TransCycles += s.cfg.Costs.LinkedJump
 			s.res.LinkedJumps++
 			b.fr.Enters++
-			if s.tel != nil && s.res.LinkedJumps&telSampleMask == 0 {
-				s.tel.Emit(telemetry.EvFragLink, s.m.Steps, b.fr.Start, 0)
-			}
 		}
 		b.fr.Completions++
 		s.res.PathEvents++
@@ -608,12 +598,5 @@ func (s *System) t2Deopt(fr *Fragment) {
 	}
 	fr.t2Next = fr.Completions + s.t2Threshold<<shift
 	s.res.T2Deopts++
-	if s.tel != nil {
-		s.tel.Inc(telT2Deopts)
-		s.tel.Emit(telemetry.EvFragDemote, s.m.Steps, fr.Start, int64(fr.t2Deopts))
-	}
-	if s.tr != nil {
-		now := s.tr.Now()
-		s.tr.Add(trace.SpanTier2Deopt, s.trParent, now, now, int32(fr.Start), int64(fr.t2Deopts))
-	}
+	s.event(trace.SpanTier2Deopt, telT2Deopts, fr.Start, int64(fr.t2Deopts))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"netpath/internal/chaos"
 	"netpath/internal/trace"
 )
 
@@ -130,5 +131,51 @@ func TestTraceNilConfigUnchanged(t *testing.T) {
 	if base.Steps != traced.Steps || base.Fragments != traced.Fragments ||
 		base.PathEvents != traced.PathEvents || base.Cycles != traced.Cycles {
 		t.Fatalf("tracing changed execution: base %+v traced %+v", base, traced)
+	}
+}
+
+// TestEngineEventsMatchCounters pins the one-event-per-site invariant: every
+// engine event the Result counts is recorded exactly once as an instant span
+// in a traced run. Soft-fault chaos and a two-fragment cache make the rare
+// events (flushes, demotions, blacklists, injections) all occur.
+func TestEngineEventsMatchCounters(t *testing.T) {
+	p := buildHotLoop(t, 50_000)
+	tr := trace.New(trace.NewID(), "test", 1<<16, time.Now())
+	exec := tr.Begin(trace.SpanExecute, trace.NoSpan, 0, 0)
+
+	cfg := DefaultConfig(SchemeNET, 5)
+	cfg.Trace = tr
+	cfg.TraceParent = exec
+	cfg.MaxFragments = 2
+	cfg.Chaos = chaos.NewRandom(1, softRates)
+	res, err := New(p, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.End(exec)
+
+	d := tr.Doc()
+	if d.Dropped != 0 {
+		t.Fatalf("arena too small: %d spans dropped", d.Dropped)
+	}
+	ks := kindSet(d)
+	for _, c := range []struct {
+		kind string
+		want int64
+	}{
+		{"fragment-emit", int64(res.Fragments)},
+		{"flush", int64(res.Flushes)},
+		{"fragment-demote", int64(res.Demotions)},
+		{"chaos-inject", res.RecordAborts + res.FragAborts + res.Corruptions + res.ForcedSelections},
+	} {
+		if c.want == 0 {
+			t.Errorf("%s: the run produced no events; the fixture no longer exercises this site", c.kind)
+		}
+		if got := int64(ks[c.kind]); got != c.want {
+			t.Errorf("%s spans = %d, Result counter = %d", c.kind, got, c.want)
+		}
+	}
+	if ks["blacklist"] == 0 {
+		t.Error("no blacklist spans: recording aborts and demotions must raise head backoff")
 	}
 }

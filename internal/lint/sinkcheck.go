@@ -27,7 +27,7 @@ var SinkCheck = &Analyzer{
 
 // sinkMethods are the write-side methods of *telemetry.Sink.
 var sinkMethods = map[string]bool{
-	"Inc": true, "Add": true, "Observe": true, "Set": true, "Emit": true, "Registry": true,
+	"Inc": true, "Add": true, "Observe": true, "Set": true, "Registry": true,
 }
 
 func runSinkCheck(pass *Pass) error {

@@ -24,7 +24,7 @@ func (s *system) guardedIf() {
 
 func (s *system) guardedConjunction(extra bool) {
 	if s.tel != nil && extra {
-		s.tel.Emit(0, 0, 0, 0)
+		s.tel.Inc(counter)
 	}
 }
 

@@ -61,11 +61,8 @@ func (s *predictedSet) IsPredicted(id path.ID) bool {
 
 func (s *predictedSet) PredictedCount() int { return s.count }
 
-func (s *predictedSet) add(id path.ID) { s.addAt(id, -1) }
-
-// addAt predicts id, reporting head (the path's head address) to telemetry
-// when the scheme knows it (-1 otherwise).
-func (s *predictedSet) addAt(id path.ID, head int) {
+// add predicts id, reporting a newly predicted path to telemetry.
+func (s *predictedSet) add(id path.ID) {
 	if id < 0 {
 		return
 	}
@@ -75,7 +72,7 @@ func (s *predictedSet) addAt(id path.ID, head int) {
 	if !s.set[id] {
 		s.set[id] = true
 		s.count++
-		s.report(id, head)
+		s.report()
 	}
 }
 
@@ -222,7 +219,7 @@ func (n *NET) Observe(id path.ID) bool {
 		return false
 	}
 	if n.counts.incr(h) >= n.Tau {
-		n.addAt(id, h)
+		n.add(id)
 		n.counts.zero(h)
 		if n.Single {
 			for h >= len(n.done) {

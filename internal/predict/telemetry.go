@@ -4,10 +4,7 @@
 // disabled path is one nil check inside an already-taken branch.
 package predict
 
-import (
-	"netpath/internal/path"
-	"netpath/internal/telemetry"
-)
+import "netpath/internal/telemetry"
 
 // telPredictions counts paths newly predicted hot across all schemes.
 var telPredictions = telemetry.NewCounter("predict_predictions_total",
@@ -18,12 +15,9 @@ var telPredictions = telemetry.NewCounter("predict_predictions_total",
 // predictedSet.
 func (s *predictedSet) SetTelemetry(t *telemetry.Sink) { s.tel = t }
 
-// report accounts one newly predicted path; head is the path's head address
-// when the scheme knows it (-1 otherwise).
-func (s *predictedSet) report(id path.ID, head int) {
-	if s.tel == nil {
-		return
+// report accounts one newly predicted path.
+func (s *predictedSet) report() {
+	if s.tel != nil {
+		s.tel.Inc(telPredictions)
 	}
-	s.tel.Inc(telPredictions)
-	s.tel.Emit(telemetry.EvPredict, 0, head, int64(id))
 }

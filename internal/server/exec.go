@@ -248,8 +248,7 @@ func (s *Server) runInterp(ctx context.Context, j *job, steps int64) (*runRespon
 	if j.tr != nil {
 		tr, parent := j.tr, j.trExec
 		m.SetFaultObserver(func(kind vm.FaultKind, pc int, step int64) {
-			now := tr.Now()
-			tr.Add(trace.SpanFault, parent, now, now, int32(pc), int64(kind))
+			tr.Instant(trace.SpanFault, parent, int32(pc), int64(kind))
 		})
 	}
 	runErr := m.RunContext(ctx, steps)

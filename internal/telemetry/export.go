@@ -53,15 +53,6 @@ type HistogramSnap struct {
 	Buckets []BucketSnap `json:"buckets,omitempty"`
 }
 
-// EventSnap is one drained event.
-type EventSnap struct {
-	Seq  uint64 `json:"seq"`
-	Step int64  `json:"step"`
-	Kind string `json:"kind"`
-	Site int32  `json:"site"`
-	Arg  int64  `json:"arg"`
-}
-
 // Snapshot is the full exported state of a registry.
 type Snapshot struct {
 	Schema     string          `json:"schema"`
@@ -69,22 +60,15 @@ type Snapshot struct {
 	Counters   []CounterSnap   `json:"counters"`
 	Gauges     []GaugeSnap     `json:"gauges,omitempty"`
 	Histograms []HistogramSnap `json:"histograms,omitempty"`
-	// EventsEmitted is the lifetime event count; EventCap the ring capacity.
-	// Emitted-minus-cap events are no longer drainable (lazy readers lose
-	// old events, never new ones).
-	EventsEmitted uint64 `json:"events_emitted"`
-	EventCap      int    `json:"event_cap"`
 }
 
-// Snapshot captures the registry's current state (without draining events).
+// Snapshot captures the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
 	cs, gs, hs := r.instruments()
 	snap := Snapshot{
-		Schema:        Schema,
-		UnixMillis:    time.Now().UnixMilli(),
-		Counters:      make([]CounterSnap, 0, len(cs)),
-		EventsEmitted: r.ring.Emitted(),
-		EventCap:      r.ring.Cap(),
+		Schema:     Schema,
+		UnixMillis: time.Now().UnixMilli(),
+		Counters:   make([]CounterSnap, 0, len(cs)),
 	}
 	for _, c := range cs {
 		snap.Counters = append(snap.Counters, CounterSnap{Name: c.name, Help: c.help, Value: c.Value()})
@@ -109,24 +93,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// WriteEventsJSON drains events newer than after and writes them as a JSON
-// array, returning the new cursor.
-func (r *Registry) WriteEventsJSON(w io.Writer, after uint64) (uint64, error) {
-	evs, next := r.ring.Drain(after, nil)
-	out := make([]EventSnap, len(evs))
-	for i, ev := range evs {
-		out[i] = EventSnap{Seq: ev.Seq, Step: ev.Step, Kind: ev.Kind.String(), Site: ev.Site, Arg: ev.Arg}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return next, enc.Encode(struct {
-		Schema string      `json:"schema"`
-		After  uint64      `json:"after"`
-		Next   uint64      `json:"next"`
-		Events []EventSnap `json:"events"`
-	}{Schema: Schema, After: after, Next: next, Events: out})
 }
 
 // promPrefix namespaces every exported series.

@@ -10,7 +10,7 @@ import (
 )
 
 func populated() *Registry {
-	r := NewRegistry(64)
+	r := NewRegistry()
 	c := r.Counter("frag_enters_total", "fragment entries")
 	r.Counter("flushes_total", "cache flushes").Add(2)
 	g := r.Gauge("head_table_len", "live head counters")
@@ -21,8 +21,6 @@ func populated() *Registry {
 	s.Set(g, 17)
 	s.Observe(h, 3)
 	s.Observe(h, 100)
-	s.Emit(EvFlush, 1000, 0, 2)
-	s.Emit(EvFragEnter, 1001, 64, 0)
 	return r
 }
 
@@ -62,34 +60,6 @@ func TestSnapshotJSON(t *testing.T) {
 	hs := snap.Histograms[0]
 	if hs.Count != 2 || hs.Sum != 103 || len(hs.Buckets) != 2 {
 		t.Fatalf("histogram snapshot wrong: %+v", hs)
-	}
-	if snap.EventsEmitted != 2 || snap.EventCap != 64 {
-		t.Fatalf("event header wrong: emitted %d cap %d", snap.EventsEmitted, snap.EventCap)
-	}
-}
-
-func TestEventsJSON(t *testing.T) {
-	r := populated()
-	var buf bytes.Buffer
-	next, err := r.WriteEventsJSON(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != 2 {
-		t.Fatalf("cursor %d, want 2", next)
-	}
-	var out struct {
-		Schema string      `json:"schema"`
-		Events []EventSnap `json:"events"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Schema != Schema || len(out.Events) != 2 {
-		t.Fatalf("events payload wrong: %+v", out)
-	}
-	if out.Events[0].Kind != "flush" || out.Events[1].Kind != "frag-enter" {
-		t.Fatalf("event kinds wrong: %+v", out.Events)
 	}
 }
 
@@ -148,9 +118,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(get("/snapshot"), Schema) {
 		t.Error("/snapshot missing schema")
-	}
-	if !strings.Contains(get("/events"), "frag-enter") {
-		t.Error("/events missing event")
 	}
 	if !strings.Contains(get("/debug/vars"), "netpath_telemetry") {
 		t.Error("/debug/vars missing published snapshot")

@@ -3,7 +3,6 @@
 //
 //	/metrics        Prometheus text exposition
 //	/snapshot       versioned JSON snapshot (netpath-telemetry/v1)
-//	/events         lazy JSON drain of the event ring (?after=N resumes)
 //	/debug/vars     expvar (includes the published snapshot)
 //	/debug/pprof/   the standard net/http/pprof handlers
 //
@@ -18,7 +17,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 )
 
 // RegisterOn mounts the registry's scrape routes on an external mux, so a
@@ -34,13 +32,6 @@ func (r *Registry) RegisterOn(mux *http.ServeMux) {
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		r.WriteJSON(w)
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, req *http.Request) {
-		after, _ := strconv.ParseUint(req.URL.Query().Get("after"), 10, 64)
-		w.Header().Set("Content-Type", "application/json")
-		if _, err := r.WriteEventsJSON(w, after); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

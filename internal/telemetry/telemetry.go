@@ -15,8 +15,6 @@
 //   - Gauge: a single atomic last-write-wins value (table occupancy).
 //   - Histogram: a bounded power-of-two-bucket distribution (path lengths,
 //     fragment sizes, head-counter values at promotion).
-//   - Ring: a fixed-size lock-free event buffer of typed events with global
-//     sequence numbers, drained lazily by exporters (see ring.go).
 //   - Registry: the named home of all of the above, exported as a versioned
 //     JSON snapshot, Prometheus text, and expvar (see export.go, http.go).
 //
@@ -198,7 +196,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return UpperBound(histBuckets - 2)
 }
 
-// Registry owns named instruments and the event ring. Registration is
+// Registry owns named instruments. Registration is
 // mutex-guarded and idempotent by name; the read/write paths of the
 // instruments themselves are lock-free.
 type Registry struct {
@@ -206,27 +204,18 @@ type Registry struct {
 	byName map[string]any
 	order  []string // registration order, for stable iteration before sort
 
-	ring      *Ring
 	nextShard atomic.Uint32
 }
 
-// DefaultRingSize is the event ring capacity of registries built by
-// NewRegistry (a power of two).
-const DefaultRingSize = 1 << 14
-
-// NewRegistry creates an empty registry with an event ring of ringSize
-// slots (rounded up to a power of two; <= 0 uses DefaultRingSize).
-func NewRegistry(ringSize int) *Registry {
-	return &Registry{
-		byName: make(map[string]any),
-		ring:   NewRing(ringSize),
-	}
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{byName: make(map[string]any)}
 }
 
 // Def is the process-wide default registry. Instrumented packages register
 // their instruments here at init; an idle registry costs nothing until a
 // Sink writes into it.
-var Def = NewRegistry(DefaultRingSize)
+var Def = NewRegistry()
 
 // active reports whether the process opted into telemetry collection
 // (serving -telemetry-addr, or a bench harness measuring the enabled path).
@@ -239,9 +228,6 @@ func SetActive(on bool) { active.Store(on) }
 
 // Active reports the process-wide opt-in.
 func Active() bool { return active.Load() }
-
-// Ring returns the registry's event ring.
-func (r *Registry) Ring() *Ring { return r.ring }
 
 // Counter returns the counter registered under name, creating it if needed.
 // Re-registering a name as a different instrument kind panics: names are the
@@ -341,13 +327,12 @@ func sortStrings(s []string) {
 }
 
 // Sink is a per-worker write handle: it pins a counter shard (assigned
-// round-robin at creation) and carries the registry's event ring. One Sink
+// round-robin at creation). One Sink
 // per dynamo.System / pipeline cell keeps parallel workers on distinct
 // cache lines. A nil *Sink is the disabled state; every method is safe to
 // skip behind a single nil check and the write path never allocates.
 type Sink struct {
 	reg   *Registry
-	ring  *Ring
 	shard uint32
 }
 
@@ -357,7 +342,7 @@ func (r *Registry) NewSink() *Sink {
 	if r == nil {
 		r = Def
 	}
-	return &Sink{reg: r, ring: r.ring, shard: r.nextShard.Add(1) & (numShards - 1)}
+	return &Sink{reg: r, shard: r.nextShard.Add(1) & (numShards - 1)}
 }
 
 // Registry returns the sink's registry.
@@ -374,8 +359,3 @@ func (s *Sink) Observe(h *Histogram, v int64) { h.Observe(v) }
 
 // Set stores v into g.
 func (s *Sink) Set(g *Gauge, v int64) { g.Set(v) }
-
-// Emit appends a typed event to the registry's ring.
-func (s *Sink) Emit(kind EventKind, step int64, site int, arg int64) {
-	s.ring.Emit(kind, step, int32(site), arg)
-}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCounterShardsSum(t *testing.T) {
-	r := NewRegistry(16)
+	r := NewRegistry()
 	c := r.Counter("test_total", "help")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -29,7 +29,7 @@ func TestCounterShardsSum(t *testing.T) {
 }
 
 func TestRegistryIdempotentAndKindSafe(t *testing.T) {
-	r := NewRegistry(16)
+	r := NewRegistry()
 	a := r.Counter("x", "h")
 	b := r.Counter("x", "different help ignored")
 	if a != b {
@@ -44,7 +44,7 @@ func TestRegistryIdempotentAndKindSafe(t *testing.T) {
 }
 
 func TestGauge(t *testing.T) {
-	r := NewRegistry(16)
+	r := NewRegistry()
 	g := r.Gauge("occ", "")
 	g.Set(7)
 	g.Max(3)
@@ -58,7 +58,7 @@ func TestGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry(16)
+	r := NewRegistry()
 	h := r.Histogram("sizes", "")
 	for _, v := range []int64{0, 1, 2, 3, 4, 5, 1000, int64(1) << 40} {
 		h.Observe(v)
@@ -96,9 +96,9 @@ func TestBucketOf(t *testing.T) {
 }
 
 // TestZeroAllocWritePath pins the tentpole claim: the enabled hot path —
-// counter add, histogram observe, ring emit — allocates nothing.
+// counter add, histogram observe, gauge set — allocates nothing.
 func TestZeroAllocWritePath(t *testing.T) {
-	r := NewRegistry(1 << 10)
+	r := NewRegistry()
 	c := r.Counter("hot_total", "")
 	h := r.Histogram("hot_sizes", "")
 	g := r.Gauge("hot_occ", "")
@@ -108,7 +108,6 @@ func TestZeroAllocWritePath(t *testing.T) {
 		s.Add(c, 1)
 		s.Observe(h, i%257)
 		s.Set(g, i)
-		s.Emit(EvFragEnter, i, int(i%1024), i)
 		i++
 	})
 	if got != 0 {
@@ -117,7 +116,7 @@ func TestZeroAllocWritePath(t *testing.T) {
 }
 
 func TestProgressReports(t *testing.T) {
-	r := NewRegistry(16)
+	r := NewRegistry()
 	done := r.Counter("done", "")
 	planned := r.Counter("planned", "")
 	planned.Add(10)
@@ -159,7 +158,7 @@ func (s *syncBuffer) String() string {
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewRegistry(0).Histogram("q_test", "")
+	h := NewRegistry().Histogram("q_test", "")
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile must be 0")
 	}
@@ -175,7 +174,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	// A bimodal distribution: 90% at ~10, 10% at ~1000. p50 must sit in the
 	// low mode's bucket, p99 in the high mode's.
-	h2 := NewRegistry(0).Histogram("q_test2", "")
+	h2 := NewRegistry().Histogram("q_test2", "")
 	for i := 0; i < 900; i++ {
 		h2.Observe(10)
 	}
@@ -198,7 +197,7 @@ func TestHistogramQuantile(t *testing.T) {
 		last = v
 	}
 	// Everything in the overflow bucket: the estimate is its lower bound.
-	h3 := NewRegistry(0).Histogram("q_test3", "")
+	h3 := NewRegistry().Histogram("q_test3", "")
 	h3.Observe(1 << 40)
 	if v := h3.Quantile(0.9); v != UpperBound(histBuckets-2) {
 		t.Errorf("overflow quantile = %d, want %d", v, UpperBound(histBuckets-2))

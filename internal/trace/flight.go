@@ -64,8 +64,7 @@ type flightRing struct {
 }
 
 // Flight is the recorder. All methods are mutex-guarded: records arrive at
-// request rate (a handful per run), far too cold to need the telemetry
-// ring's seqlock machinery.
+// request rate (a handful per run), far too cold to need anything lock-free.
 type Flight struct {
 	mu         sync.Mutex
 	perTenant  int

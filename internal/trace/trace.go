@@ -147,6 +147,10 @@ const (
 	SpanMergeBack                    // run profile merged into the snapshot store
 	SpanFault                        // guest fault delivered (instant)
 	SpanBail                         // translation bail-out (instant)
+	SpanFlush                        // fragment cache flushed; arg = resident fragments discarded (instant)
+	SpanFragDemote                   // faulting fragment evicted to the interpreter; arg = its abort count (instant)
+	SpanBlacklist                    // recording abort raised a head's backoff; arg = the head's abort count (instant)
+	SpanChaosInject                  // injected soft fault absorbed; arg = what was injected (instant)
 	NumSpanKinds     int      = iota
 )
 
@@ -154,7 +158,7 @@ var spanKindNames = [NumSpanKinds]string{
 	"request", "admission", "verify", "queue-wait", "snapshot-restore",
 	"execute", "trace-select", "fragment-emit", "tier2-enqueue",
 	"tier2-compile", "tier2-promote", "tier2-deopt", "snapshot-merge",
-	"fault", "bail",
+	"fault", "bail", "flush", "fragment-demote", "blacklist", "chaos-inject",
 }
 
 // String returns the wire name of the kind.
@@ -284,6 +288,17 @@ func (t *Trace) Add(kind SpanKind, parent int32, start, end int64, site int32, a
 		Start: start, End: end, Site: site, Arg: arg,
 	})
 	return id
+}
+
+// Instant records a zero-duration span at the current offset — a point
+// event such as a fragment emit, flush, or fault. Like every method it is
+// free on a nil trace: sampled-out runs never read the clock.
+func (t *Trace) Instant(kind SpanKind, parent int32, site int32, arg int64) int32 {
+	if t == nil {
+		return NoSpan
+	}
+	now := t.Now()
+	return t.Add(kind, parent, now, now, site, arg)
 }
 
 // SetArg updates an open span's site/arg detail in place. NoSpan is ignored.

@@ -65,7 +65,7 @@ type uopFn func(m *Machine, u *uop) *uop
 //netpathvet:cold
 func (m *Machine) trapf(kind FaultKind, pc int32, format string, args ...any) *uop {
 	m.Halted = true
-	countFault(kind, int(pc), m.Steps)
+	countFault(kind)
 	if m.faultObs != nil {
 		m.faultObs(kind, int(pc), m.Steps)
 	}

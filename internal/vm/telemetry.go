@@ -21,13 +21,12 @@ var faultCounters = func() [len(faultNames)]*telemetry.Counter {
 	return cs
 }()
 
-// countFault accounts one delivered fault: a counter bump and an EvVMFault
-// ring event (Site = faulting PC, Arg = kind code). Cold path by definition.
-func countFault(kind FaultKind, pc int, step int64) {
+// countFault accounts one delivered fault in its kind's counter. Cold path
+// by definition.
+func countFault(kind FaultKind) {
 	if int(kind) < len(faultCounters) {
 		faultCounters[kind].Inc()
 	}
-	telemetry.Def.Ring().Emit(telemetry.EvVMFault, step, int32(pc), int64(kind))
 }
 
 // noteFaultErr accounts err if it is (or wraps) a *Fault and notifies the
@@ -36,7 +35,7 @@ func countFault(kind FaultKind, pc int, step int64) {
 func (m *Machine) noteFaultErr(err error) {
 	var f *Fault
 	if errors.As(err, &f) {
-		countFault(f.Kind, f.PC, m.Steps)
+		countFault(f.Kind)
 		if m.faultObs != nil {
 			m.faultObs(f.Kind, f.PC, m.Steps)
 		}

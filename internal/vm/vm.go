@@ -112,7 +112,7 @@ func (f *Fault) Error() string { return f.Msg }
 //netpathvet:cold
 func (m *Machine) fault(kind FaultKind, format string, args ...any) error {
 	m.Halted = true
-	countFault(kind, m.PC, m.Steps)
+	countFault(kind)
 	if m.faultObs != nil {
 		m.faultObs(kind, m.PC, m.Steps)
 	}
