@@ -41,7 +41,9 @@ func TestCheckCleanBenchmark(t *testing.T) {
 		t.Errorf("bounds proven %d/%d, want full coverage on deltablue",
 			e.BoundsProven, e.BoundsTotal)
 	}
-	if e.T2BoundsElided == 0 {
+	// The run's own count depends on whether it picked up a published
+	// block before it ended; the compiler's is complete after the drain.
+	if e.T2CompiledBoundsElided == 0 {
 		t.Error("guard elision dropped no bounds checks")
 	}
 }

@@ -6,15 +6,8 @@ import (
 
 	"netpath/internal/dataflow"
 	"netpath/internal/isa"
+	"netpath/internal/vm"
 )
-
-// codeStep is one step of a fragment lowered onto the VM's predecoded
-// engine: the instruction address to execute and the control successor
-// observed at trace-recording time. The execution loop compares the actual
-// next PC against next to detect divergence (an early exit).
-type codeStep struct {
-	pc, next int32
-}
 
 // Fragment is an optimized trace resident in the fragment cache.
 type Fragment struct {
@@ -27,13 +20,12 @@ type Fragment struct {
 	// Eliminated counts optimized-away instructions.
 	Eliminated int
 
-	// code is the compiled step array (built by Optimize): the fragment
-	// lowered to (pc, expected-next) pairs over the predecoded micro-ops.
-	// elimPrefix[i] counts eliminated instructions among Steps[:i], so the
-	// executor settles cycle accounting for any straight run [from,to) with
-	// two prefix-sum lookups instead of a per-step eliminated branch.
-	code       []codeStep
-	elimPrefix []int32
+	// code is the trace lowered for vm.RunTrace when the fragment is built
+	// (at emit and at restore): per step, the recorded successor and the
+	// redirect and eliminated counts before it, so the executor settles
+	// any straight run [from,to) with prefix lookups instead of per-step
+	// branches.
+	code []vm.TraceStep
 	// Enters and Completions are runtime statistics.
 	Enters      int64
 	Completions int64
@@ -104,26 +96,36 @@ func (o *Optimizer) Optimize(start int, steps []dataflow.GuestStep) *Fragment {
 			fr.Eliminated++
 		}
 	}
-	fr.compile()
+	fr.lower()
 	return fr
 }
 
-// compile lowers the optimized trace to the compiled step array the fast
-// fragment executor runs: (pc, expected-next) pairs plus the eliminated-count
-// prefix sums used to settle cycle accounting for whole straight runs.
-func (f *Fragment) compile() {
-	f.code = make([]codeStep, len(f.Steps))
-	f.elimPrefix = make([]int32, len(f.Steps)+1)
-	var elim int32
+// lower builds the fragment's lowered trace. A step's redirect is judged
+// from the address it actually runs at — the head, then each recorded
+// successor — so the counts match the branch events a live run delivers.
+func (f *Fragment) lower() {
+	f.code = make([]vm.TraceStep, len(f.Steps))
+	var redirs, elided int32
+	pc := f.Start
 	for i := range f.Steps {
 		s := &f.Steps[i]
-		f.elimPrefix[i] = elim
-		if s.Eliminated {
-			elim++
+		f.code[i] = vm.TraceStep{Next: int32(s.Next), Redirs: redirs, Elided: elided}
+		if s.Next != pc+1 {
+			redirs++
 		}
-		f.code[i] = codeStep{pc: int32(s.PC), next: int32(s.Next)}
+		if s.Eliminated {
+			elided++
+		}
+		pc = s.Next
 	}
-	f.elimPrefix[len(f.Steps)] = elim
+}
+
+// elidedBefore returns the number of eliminated steps among Steps[:i].
+func (f *Fragment) elidedBefore(i int) int32 {
+	if i == len(f.code) {
+		return int32(f.Eliminated)
+	}
+	return f.code[i].Elided
 }
 
 func eliminate(s *dataflow.GuestStep, why string) {

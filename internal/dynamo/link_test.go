@@ -1,13 +1,17 @@
 package dynamo
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"netpath/internal/isa"
 	"netpath/internal/prog"
+	"netpath/internal/randprog"
 	"netpath/internal/vm"
+	"netpath/internal/workload"
 )
 
 // transIdentity checks that TransCycles decomposes exactly into its four
@@ -185,49 +189,81 @@ func TestCacheEvictionFlushKeepsIdentity(t *testing.T) {
 	transIdentity(t, "eviction", res, cfg.Costs)
 }
 
-// TestFragmentSteppersEquivalent runs the identical program and config on
-// the fast whole-fragment executor and on the chaos slow-path stepper (a
-// no-op fault hook forces the latter without perturbing execution): every
-// counter and the final machine state must match exactly.
+// TestFragmentSteppersEquivalent runs each program and config on the
+// batched loops (vm.RunToYield for the interpreter, vm.RunTrace for
+// fragments) and on the per-step steppers, which a no-op fault hook forces
+// without perturbing execution. The whole Result — every counter and every
+// cycle sum — and the final machine state must match exactly, on clean,
+// faulting and step-limited runs.
 func TestFragmentSteppersEquivalent(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeNET, SchemePathProfile} {
-		p := multiPhase(3, 2_000, 20)
-		cfg := DefaultConfig(scheme, 20)
-
-		fast := New(p, cfg)
-		resFast, err := fast.Run()
+	type tc struct {
+		name string
+		p    *prog.Program
+		cfg  Config
+	}
+	var cases []tc
+	for _, b := range workload.All() {
+		p, err := b.Build(0.01)
 		if err != nil {
-			t.Fatalf("%v fast: %v", scheme, err)
+			t.Fatal(err)
 		}
-
-		slow := New(p, cfg)
-		slow.Machine().SetFaultHook(func(*vm.Machine) error { return nil })
-		resSlow, err := slow.Run()
-		if err != nil {
-			t.Fatalf("%v slow: %v", scheme, err)
-		}
-
-		if resFast.Steps != resSlow.Steps ||
-			resFast.FragInstrs != resSlow.FragInstrs ||
-			resFast.ElimInstrs != resSlow.ElimInstrs ||
-			resFast.InterpInstrs != resSlow.InterpInstrs ||
-			resFast.FragEnters != resSlow.FragEnters ||
-			resFast.LinkedJumps != resSlow.LinkedJumps ||
-			resFast.FragExits != resSlow.FragExits ||
-			resFast.PathEvents != resSlow.PathEvents ||
-			resFast.Fragments != resSlow.Fragments ||
-			resFast.Flushes != resSlow.Flushes ||
-			resFast.Cycles != resSlow.Cycles {
-			t.Errorf("%v: steppers diverge:\nfast %+v\nslow %+v", scheme, resFast, resSlow)
-		}
-		fm, sm := fast.Machine(), slow.Machine()
-		if fm.Reg != sm.Reg || fm.PC != sm.PC || fm.Steps != sm.Steps {
-			t.Errorf("%v: machine state diverges between steppers", scheme)
-		}
-		for a := range fm.Mem {
-			if fm.Mem[a] != sm.Mem[a] {
-				t.Fatalf("%v: Mem[%d] fast=%d slow=%d", scheme, a, fm.Mem[a], sm.Mem[a])
+		for _, scheme := range []Scheme{SchemeNET, SchemePathProfile} {
+			for _, tau := range []int64{10, 50} {
+				cases = append(cases, tc{fmt.Sprintf("%s/%v/%d", b.Name, scheme, tau), p, DefaultConfig(scheme, tau)})
 			}
 		}
+		// The static scheme has no delay: one cell, as in Figure 5.
+		cases = append(cases, tc{b.Name + "/Static", p, DefaultConfig(SchemeStatic, 0)})
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		for _, scheme := range []Scheme{SchemeNET, SchemePathProfile} {
+			cfg := DefaultConfig(scheme, 3)
+			cfg.BailoutAfter = 0
+			cfg.MaxFragments = 16
+			clean := randprog.MustGenerate(seed, randprog.Options{})
+			cases = append(cases, tc{fmt.Sprintf("rand%d/%v", seed, scheme), clean, cfg})
+			// Shifted switch tables send indirect transfers to addresses
+			// that are not block starts or function entries: the run ends
+			// in a fault, inside the interpreter or a fragment.
+			faulty := randprog.MustGenerate(seed, randprog.Options{})
+			for i := range faulty.InitMem {
+				faulty.InitMem[i].Value++
+			}
+			cases = append(cases, tc{fmt.Sprintf("rand%d/%v/fault", seed, scheme), faulty, cfg})
+			trunc := cfg
+			trunc.MaxSteps = 5_000 + 1_777*seed
+			cases = append(cases, tc{fmt.Sprintf("rand%d/%v/trunc", seed, scheme), clean, trunc})
+		}
+	}
+	cases = append(cases, tc{"multiphase/NET", multiPhase(3, 2_000, 20), DefaultConfig(SchemeNET, 20)},
+		tc{"multiphase/PathProfile", multiPhase(3, 2_000, 20), DefaultConfig(SchemePathProfile, 20)})
+
+	var faults, truncs int
+	for _, c := range cases {
+		fast := New(c.p, c.cfg)
+		resFast, errFast := fast.Run()
+		slow := New(c.p, c.cfg)
+		slow.Machine().SetFaultHook(func(*vm.Machine) error { return nil })
+		resSlow, errSlow := slow.Run()
+
+		if fmt.Sprint(errFast) != fmt.Sprint(errSlow) {
+			t.Errorf("%s: batched err %v, per-step err %v", c.name, errFast, errSlow)
+		}
+		if !reflect.DeepEqual(resFast, resSlow) {
+			t.Errorf("%s: results diverge:\nbatched  %+v\nper-step %+v", c.name, resFast, resSlow)
+		}
+		fm, sm := fast.Machine(), slow.Machine()
+		if fm.Reg != sm.Reg || fm.PC != sm.PC || fm.Steps != sm.Steps || !reflect.DeepEqual(fm.Mem, sm.Mem) {
+			t.Errorf("%s: machine state diverges (pc %d/%d, steps %d/%d)", c.name, fm.PC, sm.PC, fm.Steps, sm.Steps)
+		}
+		switch {
+		case resFast.VMFault != "":
+			faults++
+		case errors.Is(errFast, vm.ErrStepLimit):
+			truncs++
+		}
+	}
+	if faults == 0 || truncs == 0 {
+		t.Errorf("corpus exercised %d faulting and %d step-limited runs, want some of each", faults, truncs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"netpath/internal/isa"
 	"netpath/internal/prog"
+	"netpath/internal/vm"
 )
 
 // multiTailLoop builds a loop head with two roughly equal tails: the
@@ -108,5 +109,40 @@ func TestPPChargesProfilingWork(t *testing.T) {
 	// Both interpret everything.
 	if pp.InterpInstrs != pp.Steps || net.InterpInstrs != net.Steps {
 		t.Error("with no fragments, every instruction is interpreted")
+	}
+}
+
+// TestPPProfileChargesPerBranch pins PathProfile's profiling charges to the
+// branches it observes: a bit shift per conditional branch, a table update
+// per completed path, and a signature append for an indirect jump — charged
+// even when the jump faults before its event is delivered.
+func TestPPProfileChargesPerBranch(t *testing.T) {
+	b := prog.NewBuilder("ppcharges")
+	b.SetMemSize(4)
+	m := b.Func("main")
+	m.MovI(0, 0)
+	m.Label("loop")
+	m.AddI(0, 0, 1)
+	m.BrI(isa.Lt, 0, 5, "loop") // 4 taken backward (4 paths), 1 not taken
+	m.MovI(1, 5)
+	m.JmpInd(1) // address 5 is this jump, not a block start: faults
+	m.Halt()
+	p := b.MustBuild()
+
+	cfg := DefaultConfig(SchemePathProfile, 1000)
+	for _, hook := range []bool{false, true} {
+		sys := New(p, cfg)
+		if hook {
+			sys.Machine().SetFaultHook(func(*vm.Machine) error { return nil })
+		}
+		res, err := sys.Run()
+		if err == nil || res.VMFault == "" {
+			t.Fatalf("hook %v: run did not fault: %v", hook, err)
+		}
+		c := cfg.Costs
+		want := 5*c.BitShift + 4*c.PathTableUpdate + c.IndAppend
+		if res.ProfileCycles != want || res.PathEvents != 4 {
+			t.Errorf("hook %v: ProfileCycles %v over %d paths, want %v over 4", hook, res.ProfileCycles, res.PathEvents, want)
+		}
 	}
 }

@@ -341,14 +341,14 @@ type System struct {
 	completed   bool
 	completedID path.ID
 
-	// Trace recording (NET).
+	// Trace recording (NET) and per-path capture (PathProfile) both keep
+	// the branch events of the path in flight in evs; emit expands them
+	// into guest steps. A path ends within MaxTraceBranches events, so the
+	// buffer allocated in New never grows.
 	recording bool
 	recStart  int
-	recBuf    []dataflow.GuestStep
-
-	// Per-path capture (PathProfile).
-	capStart int
-	capBuf   []dataflow.GuestStep
+	capStart  int
+	evs       []branchRec
 
 	// Selector state.
 	heads      *headTable // NET head counters (bounded, CLOCK-evicted)
@@ -411,6 +411,12 @@ type System struct {
 	nativeRedirectCycles float64
 }
 
+// branchRec is one captured branch event: the control instruction's
+// address and the address execution continued at.
+type branchRec struct {
+	pc, target int32
+}
+
 // New creates a mini-Dynamo for program p.
 func New(p *prog.Program, cfg Config) *System {
 	if cfg.Costs == (CostModel{}) {
@@ -465,12 +471,10 @@ func New(p *prog.Program, cfg Config) *System {
 	if cfg.DisableOptimizer {
 		s.opt = nil // no passes run
 	}
-	// The recording and capture buffers are reused across traces ([:0]
-	// truncation); seed them with enough capacity for a full-length trace so
-	// the steady state never grows them.
-	s.recBuf = make([]dataflow.GuestStep, 0, 4*cfg.MaxTraceBranches)
-	if cfg.Scheme == SchemePathProfile {
-		s.capBuf = make([]dataflow.GuestStep, 0, 4*cfg.MaxTraceBranches)
+	if cfg.Scheme != SchemeStatic {
+		// The event buffer is reused across paths ([:0] truncation) and
+		// holds a whole path, so the steady state never grows it.
+		s.evs = make([]branchRec, 0, cfg.MaxTraceBranches)
 	}
 	s.m.SetSink(s)
 	if h, ok := cfg.Chaos.(interface{ VMFault(*vm.Machine) error }); ok {
@@ -480,7 +484,7 @@ func New(p *prog.Program, cfg Config) *System {
 		// Attach an instant fault span at delivery; the observer runs on the
 		// failure path only, never per instruction.
 		tr, parent := s.tr, s.trParent
-		s.m.SetFaultObserver(func(kind vm.FaultKind, pc int, step int64) {
+		s.m.SetFaultObserver(func(kind vm.FaultKind, pc int) {
 			tr.Instant(trace.SpanFault, parent, int32(pc), int64(kind))
 		})
 	}
@@ -521,8 +525,7 @@ func (s *System) resetRunState() {
 	s.skipEnd = -1
 	s.completed = false
 	s.recording = false
-	s.recBuf = s.recBuf[:0]
-	s.capBuf = s.capBuf[:0]
+	s.evs = s.evs[:0]
 	s.capAborted = false
 	s.evictsAtWin = 0
 	s.frag = nil
@@ -567,30 +570,54 @@ func (s *System) Reset() {
 // Machine exposes the underlying machine (read-only use).
 func (s *System) Machine() *vm.Machine { return s.m }
 
+// onComplete relays a path completion from the tracker. The path boundary
+// is where the interpreter has work to do, so the batched loop yields.
 func (s *System) onComplete(c path.Completed) {
 	s.completed = true
 	s.completedID = c.ID
+	s.m.Yield()
 }
 
 // OnBranch implements vm.Sink; it is the machine's event callback, not part
-// of the System API.
+// of the System API. While interpreting it is the whole of the scheme's
+// per-branch work: the event is captured for a trace that may be emitted,
+// PathProfile pays its bit shift or indirect append, and the tracker
+// extends the path.
 func (s *System) OnBranch(ev vm.BranchEvent) {
 	if ev.Target != ev.PC+1 {
 		s.res.Redirects++
 	}
-	switch s.mode {
-	case modeNative:
+	if s.mode != modeInterp {
 		return
-	case modeInterp:
-		if s.skipping {
-			if ev.Backward {
-				s.skipping = false
-				s.skipEnd = ev.Target
-			}
-			return
-		}
-		s.tracker.OnBranch(ev)
 	}
+	if s.skipping {
+		if ev.Backward {
+			s.skipping = false
+			s.skipEnd = ev.Target
+			s.m.Yield()
+		}
+		return
+	}
+	if s.recording || s.cfg.Scheme == SchemePathProfile {
+		s.evs = append(s.evs, branchRec{int32(ev.PC), int32(ev.Target)})
+		if s.cfg.Scheme == SchemePathProfile {
+			s.res.ProfileCycles += s.profileCost(ev.Kind)
+		}
+	}
+	s.tracker.OnBranch(ev)
+}
+
+// profileCost is PathProfile's per-branch profiling charge for a transfer
+// of kind k: a history bit shift for a conditional branch, a signature
+// append for an indirect one.
+func (s *System) profileCost(k isa.BranchKind) float64 {
+	switch k {
+	case isa.KindCond:
+		return s.cfg.Costs.BitShift
+	case isa.KindIndirect, isa.KindCallInd:
+		return s.cfg.Costs.IndAppend
+	}
+	return 0
 }
 
 // DeadlineError reports a run stopped by its context: the wall-clock
@@ -622,11 +649,15 @@ func (s *System) Run() (Result, error) { return s.RunContext(context.Background(
 // RunContext is Run under a context: when ctx carries a deadline or is
 // cancellable, the run additionally stops — with a *DeadlineError and a
 // fully accounted Result — once ctx is done. Preemption is cooperative,
-// checked at every dispatcher iteration (at most one interpreted
-// instruction apart) and at fragment-link boundaries (at most one fragment
-// body apart), so a hostile guest cannot outrun its wall-clock budget by
-// staying resident in the fragment cache. A background context makes
-// RunContext exactly Run: no timer, no atomic traffic on the step path.
+// checked at every dispatcher iteration and at fragment-link boundaries: at
+// most one path apart while interpreting (the batched interpreter returns at
+// each path boundary, and a PathProfile skip ends at the next backward
+// branch, which every loop takes) and at most one fragment body apart in the
+// cache, so a hostile guest cannot outrun its wall-clock budget by staying
+// resident in the fragment cache. The per-step steppers (chaos, fault hooks,
+// native execution after bail-out) are checked every instruction. A
+// background context makes RunContext exactly Run: no timer, no atomic
+// traffic on the step path.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
 	if s.verifyErr != nil {
 		return s.res, fmt.Errorf("dynamo: refusing unverified program: %w", s.verifyErr)
@@ -646,18 +677,20 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 			s.finish()
 			return s.res, &DeadlineError{Steps: s.m.Steps, Cause: context.Cause(ctx)}
 		}
+		// The fault-free path runs batched: the interpreter to the next
+		// path boundary, fragments (and linked successors) to the next exit.
+		// Chaos injection or an installed fault hook selects the per-step
+		// steppers, which consult them between instructions.
+		batched := s.inj == nil && !s.m.HasFaultHook()
 		var err error
-		if s.mode == modeFragment {
-			// Two-tier dispatch: the fault-free path runs whole fragments
-			// (and linked successors) on the compiled step arrays without
-			// per-instruction injector or hook checks; chaos injection or an
-			// installed fault hook selects the slow per-step stepper.
-			if s.inj == nil && !s.m.HasFaultHook() {
-				err = s.runFragment()
-			} else {
-				err = s.stepFragmentSlow()
-			}
-		} else {
+		switch {
+		case s.mode == modeFragment && batched:
+			err = s.runFragment()
+		case s.mode == modeFragment:
+			err = s.stepFragmentSlow()
+		case s.mode == modeInterp && batched:
+			err = s.runInterp()
+		default:
 			err = s.stepInterp()
 		}
 		if err != nil {
@@ -688,48 +721,80 @@ func (s *System) finish() {
 	s.syncTelemetry()
 }
 
-func (s *System) stepInterp() error {
-	c := &s.cfg.Costs
-	pc := s.m.PC
-	in := s.m.InstrAt(pc)
+// runInterp interprets on the batched loop until the tracker completes a
+// path, a PathProfile skip ends, or the machine halts, faults or reaches
+// the step budget, then settles the per-instruction charges for the whole
+// batch and handles the boundary.
+func (s *System) runInterp() error {
+	m := s.m
+	steps := m.Steps
+	err := m.RunToYield(s.cfg.MaxSteps)
+	if err == vm.ErrStepLimit {
+		err = nil // the dispatcher raises it
+	}
+	n := m.Steps - steps
+	if err != nil {
+		if f, ok := err.(*vm.Fault); ok && f.Kind == vm.FaultBadRegister {
+			n++ // dispatched and charged, but not counted as a machine step
+		}
+		s.chargeInterp(n)
+		s.chargeFaultedBranch(err)
+		return err
+	}
+	s.chargeInterp(n)
+	s.pathBoundary()
+	return nil
+}
 
+// chargeInterp charges n interpreted instructions: dispatch, plus the
+// recording cost while a NET trace is being recorded. Recording starts and
+// stops only at path boundaries, so it holds for a whole batch.
+func (s *System) chargeInterp(n int64) {
+	c := &s.cfg.Costs
+	s.res.InterpInstrs += n
+	s.res.InterpCycles += float64(n) * c.InterpInstr
+	if s.recording {
+		s.res.BuildCycles += float64(n) * c.RecordInstr
+	}
+}
+
+// chargeFaultedBranch charges PathProfile's per-branch cost for a branch
+// that faulted before delivering its event (OnBranch charges the rest): a
+// dispatched branch pays for profiling whether or not it completes. Only
+// an out-of-range transfer faults after its event.
+func (s *System) chargeFaultedBranch(err error) {
+	if s.cfg.Scheme != SchemePathProfile || s.skipping || s.mode != modeInterp {
+		return
+	}
+	var f *vm.Fault
+	if errors.As(err, &f) && f.Kind == vm.FaultBadPC {
+		return
+	}
+	if k, ok := isa.KindOf(s.m.Prog.Instrs[s.m.PC].Op); ok {
+		s.res.ProfileCycles += s.profileCost(k)
+	}
+}
+
+// stepInterp interprets one instruction. It is the per-step stepper for
+// chaos runs and runs under a fault hook — the oracle runInterp is tested
+// against — and the native loop after bail-out.
+func (s *System) stepInterp() error {
+	pc := s.m.PC
 	if s.mode == modeNative {
 		if err := s.m.Step(); err != nil {
 			return err
 		}
 		s.res.NativeInstrs++
 		if s.m.PC != pc+1 && !s.m.Halted {
-			s.nativeRedirectCycles += c.TakenPenalty
+			s.nativeRedirectCycles += s.cfg.Costs.TakenPenalty
 		}
 		return nil
 	}
 
-	// Interpreter dispatch cost, plus the scheme's per-branch profiling
-	// work (only while profiling is active).
-	s.res.InterpCycles += c.InterpInstr
-	s.res.InterpInstrs++
-	if s.cfg.Scheme == SchemePathProfile && !s.skipping {
-		switch in.Op {
-		case isa.Br, isa.BrI:
-			s.res.ProfileCycles += c.BitShift
-		case isa.JmpInd, isa.CallInd:
-			s.res.ProfileCycles += c.IndAppend
-		}
-	}
-	if s.recording {
-		s.res.BuildCycles += c.RecordInstr
-	}
-
+	s.chargeInterp(1)
 	if err := s.m.Step(); err != nil {
+		s.chargeFaultedBranch(err)
 		return err
-	}
-	next := s.m.PC
-
-	if s.recording {
-		s.recBuf = append(s.recBuf, dataflow.GuestStep{PC: pc, In: in, Next: next})
-	}
-	if s.cfg.Scheme == SchemePathProfile && !s.skipping {
-		s.capBuf = append(s.capBuf, dataflow.GuestStep{PC: pc, In: in, Next: next})
 	}
 
 	// Injected faults land at their machine step and damage only what is in
@@ -744,69 +809,78 @@ func (s *System) stepInterp() error {
 			switch {
 			case s.recording:
 				s.recording = false
-				s.recBuf = s.recBuf[:0]
+				s.evs = s.evs[:0]
 				s.res.RecordAborts++
 				s.tr.End(s.selSpan)
 				s.selSpan = trace.NoSpan
 				s.blacklistHead(s.recStart, chaosArgRecordAbort)
 			case s.cfg.Scheme == SchemePathProfile && !s.skipping && !s.capAborted:
 				s.capAborted = true
-				s.capBuf = s.capBuf[:0]
+				s.evs = s.evs[:0]
 				s.res.RecordAborts++
 				s.blacklistHead(s.capStart, chaosArgRecordAbort)
 			}
 		}
 	}
+	s.pathBoundary()
+	return nil
+}
 
+// pathBoundary handles what the last interpreted instruction ended, if
+// anything: a PathProfile skip (profiling resumes at the backward branch's
+// target) or a completed path (the path event, the scheme's counting and
+// trace emission, and the next path's start).
+func (s *System) pathBoundary() {
 	if s.skipEnd >= 0 {
 		// A backward branch ended an unprofilable suffix: resume profiling.
 		target := s.skipEnd
 		s.skipEnd = -1
 		s.tracker.Restart(target)
 		s.atPathStart(target)
-		return nil
+		return
 	}
+	if !s.completed {
+		return
+	}
+	s.completed = false
+	id := s.completedID
+	s.res.PathEvents++
+	if s.tel != nil && s.res.PathEvents&telSampleMask == 0 {
+		s.tel.Observe(telPathLen, int64(s.interner.Info(id).Branches))
+	}
+	s.onPathEvent()
 
-	if s.completed {
-		s.completed = false
-		id := s.completedID
-		s.res.PathEvents++
-		if s.tel != nil && s.res.PathEvents&telSampleMask == 0 {
-			s.tel.Observe(telPathLen, int64(s.interner.Info(id).Branches))
-		}
-		s.onPathEvent()
-
-		if s.cfg.Scheme == SchemePathProfile {
-			s.res.ProfileCycles += c.PathTableUpdate
-			if s.inj != nil {
-				if d, ok := s.inj.CorruptCounter(s.m.Steps); ok {
-					s.corruptPathCount(id, d)
-					s.res.Corruptions++
-					s.event(trace.SpanChaosInject, telCorruptions, s.capStart, chaosArgCorrupt)
-				}
-			}
-			if s.pathCount(id) && s.tel != nil {
-				// The path's own counter reached τ: the PathProfile analogue
-				// of a head promotion.
-				s.tel.Inc(telHeadPromotions)
-				s.tel.Observe(telPromoteCounter, s.cfg.Tau)
-			}
-			if s.armed[id] && s.cache[s.capStart] == nil && !s.capAborted && s.black.allow(s.capStart) {
-				delete(s.armed, id)
-				// Retroactive recording charge for the captured trace.
-				s.res.BuildCycles += c.RecordInstr * float64(len(s.capBuf))
-				s.emit(s.capStart, s.capBuf)
+	if s.cfg.Scheme == SchemePathProfile {
+		c := &s.cfg.Costs
+		s.res.ProfileCycles += c.PathTableUpdate
+		if s.inj != nil {
+			if d, ok := s.inj.CorruptCounter(s.m.Steps); ok {
+				s.corruptPathCount(id, d)
+				s.res.Corruptions++
+				s.event(trace.SpanChaosInject, telCorruptions, s.capStart, chaosArgCorrupt)
 			}
 		}
-		if s.recording {
-			s.recording = false
-			s.emit(s.recStart, s.recBuf)
+		if s.pathCount(id) && s.tel != nil {
+			// The path's own counter reached τ: the PathProfile analogue
+			// of a head promotion.
+			s.tel.Inc(telHeadPromotions)
+			s.tel.Observe(telPromoteCounter, s.cfg.Tau)
 		}
-		if !s.m.Halted {
-			s.atPathStart(s.m.PC)
+		if s.armed[id] && s.cache[s.capStart] == nil && !s.capAborted && s.black.allow(s.capStart) {
+			delete(s.armed, id)
+			steps := s.expand(s.capStart)
+			// Retroactive recording charge for the captured trace.
+			s.res.BuildCycles += c.RecordInstr * float64(len(steps))
+			s.emit(s.capStart, steps)
 		}
 	}
-	return nil
+	if s.recording {
+		s.recording = false
+		s.emit(s.recStart, s.expand(s.recStart))
+	}
+	if !s.m.Halted {
+		s.atPathStart(s.m.PC)
+	}
 }
 
 // pathCount counts one execution of path id and reports whether this count
@@ -877,7 +951,7 @@ func (s *System) atPathStart(addr int) {
 			if s.black.allow(addr) {
 				s.recording = true
 				s.recStart = addr
-				s.recBuf = s.recBuf[:0]
+				s.evs = s.evs[:0]
 				s.selSpan = s.tr.Begin(trace.SpanTraceSelect, s.trParent, int32(addr), n)
 				if force && n < s.cfg.Tau {
 					s.res.ForcedSelections++
@@ -891,12 +965,35 @@ func (s *System) atPathStart(addr int) {
 		}
 	case SchemePathProfile:
 		s.capStart = addr
-		s.capBuf = s.capBuf[:0]
+		s.evs = s.evs[:0]
 		s.capAborted = false
 	}
 }
 
-// emit optimizes a recorded trace and installs it in the cache.
+// expand rebuilds the trace the captured branch events describe from start.
+// It is exact: a straight-line instruction always falls through, and every
+// control instruction delivers an event naming its successor.
+func (s *System) expand(start int) []dataflow.GuestStep {
+	n, pc := 0, start
+	for _, e := range s.evs {
+		n += int(e.pc) - pc + 1
+		pc = int(e.target)
+	}
+	ins := s.m.Prog.Instrs
+	steps := make([]dataflow.GuestStep, 0, n)
+	pc = start
+	for _, e := range s.evs {
+		for ; pc < int(e.pc); pc++ {
+			steps = append(steps, dataflow.GuestStep{PC: pc, In: ins[pc], Next: pc + 1})
+		}
+		steps = append(steps, dataflow.GuestStep{PC: pc, In: ins[pc], Next: int(e.target)})
+		pc = int(e.target)
+	}
+	return steps
+}
+
+// emit optimizes a trace and installs it in the cache; the fragment takes
+// ownership of steps.
 func (s *System) emit(start int, steps []dataflow.GuestStep) {
 	// Selection ends here whether or not anything installs; close the open
 	// trace-select span (a no-op for sampled-out runs and armed PP captures,
@@ -908,9 +1005,7 @@ func (s *System) emit(start int, steps []dataflow.GuestStep) {
 	}
 	c := &s.cfg.Costs
 	s.res.BuildCycles += c.OptimizeInstr * float64(len(steps))
-	cp := make([]dataflow.GuestStep, len(steps))
-	copy(cp, steps)
-	fr := s.opt.Optimize(start, cp)
+	fr := s.opt.Optimize(start, steps)
 	if s.cfg.ValidateEmits && !s.validateEmit(fr) {
 		// The optimizer produced a fragment the validator cannot prove
 		// faithful (an optimizer bug, or a trace corrupted between recording
@@ -1015,25 +1110,24 @@ func (s *System) bail(reason string) {
 	s.event(trace.SpanBail, telBailouts, 0, bailReasonCode(reason))
 }
 
-// runFragment executes fragments on their compiled step arrays until control
-// leaves the fragment cache (or the machine halts, faults, or hits the step
-// budget). Linked exits transfer directly into the successor fragment's
-// compiled array — the loop keeps going without returning to Run's
-// dispatcher, the software analogue of Dynamo's fragment linking. Only
-// reached when no injector and no fault hook are installed, so the hot loop
-// is: budget compare, ExecAt, successor compare.
+// runFragment executes fragments on their lowered traces (vm.RunTrace, sink
+// muted) until control leaves the fragment cache or the machine halts,
+// faults, or reaches the step budget. Linked exits continue in the successor
+// fragment without returning to Run's dispatcher, the software analogue of
+// Dynamo's fragment linking. Only reached when no injector and no fault hook
+// are installed. Redirects come from the trace's recorded prefix counts plus
+// the exit step, as tier 2 settles them.
 //
 //netpathvet:dispatch
 func (s *System) runFragment() error {
 	m := s.m
-	limit := s.cfg.MaxSteps
-	pc := m.PC
 	for {
 		fr := s.frag
 		if s.t2c != nil && s.fpos == 0 {
-			// A published superblock supersedes the step array when entering
-			// at the head. The atomic load is the entire publication
-			// protocol: the background compiler stores, dispatch loads.
+			// A published superblock supersedes the lowered trace when
+			// entering at the head. The atomic load is the entire
+			// publication protocol: the background compiler stores,
+			// dispatch loads.
 			if blk := fr.t2.Load(); blk != nil {
 				if !fr.t2Credited {
 					fr.t2Credited = true
@@ -1051,64 +1145,46 @@ func (s *System) runFragment() error {
 						if s.hasDeadline && s.preempt.Load() {
 							return nil
 						}
-						pc = m.PC
 						continue
 					}
 					// Budget-gated or guard-bounced: run this entry on tier 1.
 				}
 			}
 		}
-		code := fr.code
-		last := len(code) - 1
-		fpos := s.fpos
-		base := fpos
-		for {
-			if limit > 0 && m.Steps >= limit {
-				// Out of budget before this step executed: sync state and
-				// let Run's loop raise the step-limit error.
-				s.accountFrag(fr, base, fpos)
-				s.fpos = fpos
-				m.PC = pc
-				return nil
+		from := s.fpos
+		x := m.RunTrace(fr.code, from, s.cfg.MaxSteps)
+		s.res.Redirects += x.Redirects
+		s.fpos = x.Pos
+		switch {
+		case x.Err != nil:
+			// A faulting step is not accounted, matching the per-step
+			// stepper, which returns before accounting on error.
+			s.accountFrag(fr, from, x.Pos)
+			return x.Err
+		case x.NextPC < 0:
+			// Halted (the halting step executed) or out of budget before
+			// step Pos: Run's loop ends the run.
+			to := x.Pos
+			if m.Halted {
+				to++
 			}
-			npc := m.ExecAt(pc)
-			if npc < 0 {
-				// Halt or fault. SettleExec pins m.PC and delivers the
-				// fault; a halting step is accounted (it executed), a
-				// faulting one is not — matching the per-step stepper,
-				// which returns before accounting on error.
-				err := m.SettleExec(pc, npc)
-				if err == nil {
-					s.accountFrag(fr, base, fpos+1)
-				} else {
-					s.accountFrag(fr, base, fpos)
-				}
-				s.fpos = fpos
-				return err
+			s.accountFrag(fr, from, to)
+			return nil
+		}
+		s.accountFrag(fr, from, x.Pos+1)
+		if x.Pos == len(fr.code)-1 {
+			// Fragment completed: its end is a path boundary.
+			fr.Completions++
+			s.res.PathEvents++
+			s.res.CacheEvents++
+			s.onPathEvent()
+			if s.t2c != nil {
+				s.maybePromote(fr)
 			}
-			if fpos == last {
-				// Fragment completed: its end is a path boundary.
-				s.accountFrag(fr, base, last+1)
-				m.PC = npc
-				fr.Completions++
-				s.res.PathEvents++
-				s.res.CacheEvents++
-				s.onPathEvent()
-				if s.t2c != nil {
-					s.maybePromote(fr)
-				}
-				s.leaveFragment(npc, true)
-				break
-			}
-			if npc != int(code[fpos].next) {
-				s.accountFrag(fr, base, fpos+1)
-				m.PC = npc
-				fr.EarlyExits++
-				s.leaveFragment(npc, false)
-				break
-			}
-			fpos++
-			pc = npc
+			s.leaveFragment(x.NextPC, true)
+		} else {
+			fr.EarlyExits++
+			s.leaveFragment(x.NextPC, false)
 		}
 		if s.mode != modeFragment {
 			return nil
@@ -1121,20 +1197,18 @@ func (s *System) runFragment() error {
 		}
 		// Linked transfer: continue in the successor fragment set by
 		// leaveFragment without surfacing to the dispatcher.
-		pc = m.PC
 	}
 }
 
 // accountFrag settles cycle accounting for the straight run Steps[from:to)
-// of fr in one shot: eliminated instructions were skipped at fragment
-// compile time, so their count comes from the prefix sums rather than a
-// per-step branch.
+// of fr in one shot, with the eliminated count from the lowered trace's
+// prefix counts rather than a per-step branch.
 func (s *System) accountFrag(fr *Fragment, from, to int) {
 	if to <= from {
 		return
 	}
 	n := int64(to - from)
-	elim := int64(fr.elimPrefix[to] - fr.elimPrefix[from])
+	elim := int64(fr.elidedBefore(to) - fr.elidedBefore(from))
 	s.res.FragInstrs += n
 	s.res.ElimInstrs += elim
 	s.res.FragCycles += float64(n-elim) * s.cfg.Costs.FragInstr

@@ -145,6 +145,7 @@ type Tier2Compiler struct {
 	rejected  atomic.Int64
 	vrejected atomic.Int64
 	dropped   atomic.Int64
+	elided    atomic.Int64
 }
 
 // NewTier2Compiler starts workers resident compile workers over a queue of
@@ -295,6 +296,7 @@ func (c *Tier2Compiler) compile(j *t2Job) {
 	blk.elimPfx[n] = ep
 	j.fr.t2.Store(blk)
 	c.compiled.Add(1)
+	c.elided.Add(int64(stats.BoundsElided))
 	telT2Compiled.Inc()
 	telT2CompileUs.Observe(time.Since(start).Microseconds())
 	if j.tr != nil {
@@ -319,6 +321,11 @@ func (c *Tier2Compiler) Close() {
 
 // Compiled returns the number of superblocks compiled and published.
 func (c *Tier2Compiler) Compiled() int64 { return c.compiled.Load() }
+
+// BoundsElided returns the bounds checks statically elided across every
+// published superblock. Unlike Result.T2BoundsElided, which credits a block
+// only when a run picks it up, it is complete once the queue is drained.
+func (c *Tier2Compiler) BoundsElided() int64 { return c.elided.Load() }
 
 // Rejected returns the number of compiles refused (tombstoned fragments).
 func (c *Tier2Compiler) Rejected() int64 { return c.rejected.Load() }
@@ -495,9 +502,9 @@ func (s *System) runTier2(fr *Fragment, blk *t2Block) (bool, error) {
 		return true, x.Err
 	}
 	// Divergence: the op at guest index g executed off-trace (event and step
-	// already live-accounted by its ExecAt replay); on-trace redirects cover
-	// only the prefix. Divergence at a fragment's last step is a completion
-	// of that fragment, matching tier 1's boundary-first check.
+	// already live-accounted by its per-step replay); on-trace redirects
+	// cover only the prefix. Divergence at a fragment's last step is a
+	// completion of that fragment, matching tier 1's boundary-first check.
 	s.t2Account(blk, g+1, g)
 	b := &blk.bounds[bi]
 	if g == int64(b.end)-1 {

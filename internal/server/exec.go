@@ -247,7 +247,7 @@ func (s *Server) runInterp(ctx context.Context, j *job, steps int64) (*runRespon
 	m := vm.New(j.req.program)
 	if j.tr != nil {
 		tr, parent := j.tr, j.trExec
-		m.SetFaultObserver(func(kind vm.FaultKind, pc int, step int64) {
+		m.SetFaultObserver(func(kind vm.FaultKind, pc int) {
 			tr.Instant(trace.SpanFault, parent, int32(pc), int64(kind))
 		})
 	}

@@ -14,7 +14,7 @@
 // next micro-op to execute (nil to stop), so the hot loop is one indirect
 // call plus a nil test per instruction — it carries no PC, no bounds check,
 // and no per-step Halted/fault-hook/register re-validation. Handlers that
-// halt or fault park the error in m.trap and return nil; SettleExec
+// halt or fault park the error in m.trap and return nil; settleExec
 // resolves that cold path identically to the legacy engine.
 package vm
 
@@ -25,7 +25,7 @@ import (
 	"netpath/internal/prog"
 )
 
-// stop is returned by ExecAt when the executed micro-op halted or faulted
+// stop is returned by execAt when the executed micro-op halted or faulted
 // the machine instead of producing a next PC. It is negative so callers
 // that bounds-check the next PC take their existing cold path.
 const stop = -1
@@ -59,7 +59,7 @@ type uop struct {
 type uopFn func(m *Machine, u *uop) *uop
 
 // trapf parks a fault raised inside a micro-op handler and halts the
-// machine; SettleExec delivers it. Handlers return nil after calling it so
+// machine; settleExec delivers it. Handlers return nil after calling it so
 // the dispatch loop stops — it runs at most once per execution.
 //
 //netpathvet:cold
@@ -67,7 +67,7 @@ func (m *Machine) trapf(kind FaultKind, pc int32, format string, args ...any) *u
 	m.Halted = true
 	countFault(kind)
 	if m.faultObs != nil {
-		m.faultObs(kind, int(pc), m.Steps)
+		m.faultObs(kind, int(pc))
 	}
 	m.trap = &Fault{Kind: kind, PC: int(pc), Msg: fmt.Sprintf(format, args...)}
 	return nil
@@ -249,6 +249,7 @@ func opStore(m *Machine, u *uop) *uop {
 // badTransfer raises the out-of-range control transfer fault, after the
 // branch event for the attempted transfer has already been emitted.
 func (m *Machine) badTransfer(pc int32, target int) *uop {
+	m.badTarget = target
 	return m.trapf(FaultBadPC, pc, "vm: control transfer to %d out of range at pc %d", target, pc)
 }
 

@@ -9,7 +9,7 @@
 //   - Steps: the number of completed on-trace guest steps is added once.
 //   - Branch events: on-trace transfers are silent; the caller (dynamo) owns
 //     prefix-sum redirect accounting over the recorded successors. Only a
-//     diverging op replays through ExecAt, which emits its event, counts its
+//     diverging op replays through execAt, which emits its event, counts its
 //     step, performs its stack effects, and raises its faults through the
 //     exact same handlers the tier-1 engine uses — so a superblock can never
 //     invent a new fault message, event ordering, or architectural state.
@@ -90,7 +90,7 @@ func (f SBFacts) decided(pc int32) (bool, bool) {
 type SBExit struct {
 	// Guest is the number of guest steps that completed on-trace. On a clean
 	// completion it equals NGuest. On a divergence the op at index Guest also
-	// executed (off-trace, through ExecAt, with its event and step counted);
+	// executed (off-trace, through execAt, with its event and step counted);
 	// on a fault the op at index Guest is the faulting instruction.
 	Guest int32
 	// NextPC is where execution continues (valid when Err is nil).
@@ -235,7 +235,7 @@ func (m *Machine) RunSuperblock(sb *Superblock) SBExit {
 				m.PC = int(x.next)
 				return SBExit{Guest: x.guest, NextPC: int(x.next)}
 			}
-			return SBExit{Guest: x.guest, Err: m.SettleExec(int(x.pc), stop)}
+			return SBExit{Guest: x.guest, Err: m.settleExec(int(x.pc), stop)}
 		}
 	}
 	m.Steps += int64(sb.nGuest)
@@ -244,13 +244,13 @@ func (m *Machine) RunSuperblock(sb *Superblock) SBExit {
 }
 
 // sbDiverge replays the guest op at pc through the per-step machinery after
-// its superblock fast path failed: ExecAt counts the step, emits the branch
+// its superblock fast path failed: execAt counts the step, emits the branch
 // event, performs stack effects, and raises any fault with the exact tier-1
 // message. The guest-step prefix is settled first so m.Steps is exact at the
 // moment the op (and its fault accounting) runs.
 func (m *Machine) sbDiverge(pc, guest int32) bool {
 	m.Steps += int64(guest)
-	npc := m.ExecAt(int(pc))
+	npc := m.execAt(int(pc))
 	x := &m.sbx
 	x.guest = guest
 	if npc < 0 {
@@ -359,7 +359,7 @@ func sbCall(m *Machine, op *sbop) bool {
 		m.stack = append(m.stack, int64(op.pc)+1)
 		return true
 	}
-	return m.sbDiverge(op.pc, op.guest) // exact overflow fault via ExecAt
+	return m.sbDiverge(op.pc, op.guest) // exact overflow fault via execAt
 }
 
 func sbRet(m *Machine, op *sbop) bool {
@@ -387,7 +387,7 @@ func sbCallInd(m *Machine, op *sbop) bool {
 
 // Guard handlers: the compare and the branch fused into one event-free
 // dispatch, specialized per condition. flag is the recorded taken-ness; a
-// mismatching outcome replays the branch through ExecAt (event, step count,
+// mismatching outcome replays the branch through execAt (event, step count,
 // actual target) and exits.
 
 func sbGuardEqRR(m *Machine, op *sbop) bool {

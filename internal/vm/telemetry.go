@@ -37,7 +37,7 @@ func (m *Machine) noteFaultErr(err error) {
 	if errors.As(err, &f) {
 		countFault(f.Kind)
 		if m.faultObs != nil {
-			m.faultObs(f.Kind, f.PC, m.Steps)
+			m.faultObs(f.Kind, f.PC)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func (m *Machine) fault(kind FaultKind, format string, args ...any) error {
 	m.Halted = true
 	countFault(kind)
 	if m.faultObs != nil {
-		m.faultObs(kind, m.PC, m.Steps)
+		m.faultObs(kind, m.PC)
 	}
 	return &Fault{Kind: kind, PC: m.PC, Msg: fmt.Sprintf(format, args...)}
 }
@@ -149,9 +149,15 @@ type Machine struct {
 	// ops is the predecoded micro-op image of Prog; it depends only on the
 	// instruction bytes, so Reset leaves it intact.
 	ops []uop
-	// trap holds a fault raised inside a micro-op handler until SettleExec
-	// delivers it.
-	trap *Fault
+	// trap holds a fault raised inside a micro-op handler until settleExec
+	// delivers it; badTarget is the target of the last out-of-range control
+	// transfer, which RunTrace still accounts although its sink is muted.
+	trap      *Fault
+	badTarget int
+	// stopAt is the step bound RunToYield's loop compares against; Yield
+	// zeroes it, and yielded tells a yield apart from the step budget.
+	stopAt  int64
+	yielded bool
 	// legacy routes Step/Run through the switch-based decoder.
 	legacy bool
 
@@ -219,15 +225,16 @@ func (m *Machine) SetListener(l Listener) {
 // consulted before every instruction, exactly as Step does.
 func (m *Machine) SetFaultHook(h FaultHook) { m.faultHook = h }
 
-// HasFaultHook reports whether a fault-injection hook is installed. Batched
-// executors (dynamo's fragment loop) use it to pick the slow-path stepper.
+// HasFaultHook reports whether a fault-injection hook is installed. Dynamo
+// uses it to pick the per-step steppers over the batched loops.
 func (m *Machine) HasFaultHook() bool { return m.faultHook != nil }
 
-// FaultObserver is notified once per delivered fault with the kind, the
-// faulting guest PC, and the machine step count at delivery. It runs on the
-// failure path only — never per instruction — so observers may be as heavy
-// as a span write or a flight-recorder note.
-type FaultObserver func(kind FaultKind, pc int, step int64)
+// FaultObserver is notified once per delivered fault with the kind and the
+// faulting guest PC. It runs on the failure path only — never per
+// instruction — so observers may be as heavy as a span write or a
+// flight-recorder note. It gets no step count: the batched loops keep theirs
+// in a local and settle m.Steps only when they return.
+type FaultObserver func(kind FaultKind, pc int)
 
 // SetFaultObserver installs the per-machine fault observer (nil disables
 // it). Unlike the unconditional fault counters, the observer carries
@@ -301,19 +308,19 @@ func (m *Machine) Step() error {
 	m.Steps++
 	nu := u.fn(m, u)
 	if nu == nil {
-		return m.SettleExec(pc, stop)
+		return m.settleExec(pc, stop)
 	}
 	m.PC = int(nu.pc)
 	return nil
 }
 
-// ExecAt executes the single predecoded micro-op at pc and returns the next
+// execAt executes the single predecoded micro-op at pc and returns the next
 // PC, or a negative value when the micro-op stopped the machine (Halt or
-// fault). It counts the step but does not move m.PC — callers (the batched
-// Run loop, dynamo's fragment executor) own the PC and resolve stops via
-// SettleExec. The caller must ensure the machine is not halted and pc is in
-// range.
-func (m *Machine) ExecAt(pc int) int {
+// fault). It counts the step and delivers the branch event but does not
+// move m.PC — its caller, superblock divergence replay, owns the PC and
+// resolves stops via settleExec. The caller must ensure the machine is not
+// halted and pc is in range.
+func (m *Machine) execAt(pc int) int {
 	u := &m.ops[pc]
 	m.Steps++
 	nu := u.fn(m, u)
@@ -323,7 +330,7 @@ func (m *Machine) ExecAt(pc int) int {
 	return int(nu.pc)
 }
 
-// SettleExec resolves a stop reported by ExecAt for the micro-op at pc,
+// settleExec resolves a micro-op stop (a nil successor) at pc,
 // reproducing the legacy engine's cold-path semantics: a clean Halt returns
 // nil and a parked handler fault is delivered, with the step uncounted for
 // bad-register faults, which the legacy engine rejects before counting.
@@ -331,7 +338,7 @@ func (m *Machine) ExecAt(pc int) int {
 // case. npc is the stop value, kept for the defensive fallback: handlers
 // fault all out-of-range transfers themselves, so a non-halted settle
 // cannot happen on any reachable path.
-func (m *Machine) SettleExec(pc, npc int) error {
+func (m *Machine) settleExec(pc, npc int) error {
 	m.PC = pc
 	if m.Halted {
 		f := m.trap
@@ -510,21 +517,10 @@ func (m *Machine) Run(maxSteps int64) error {
 	if m.legacy || m.faultHook != nil {
 		return m.runSlow(maxSteps)
 	}
-	if m.Halted {
-		return nil
+	u, limit, err := m.start(maxSteps)
+	if u == nil {
+		return err
 	}
-	pc := m.PC
-	if uint(pc) >= uint(len(m.ops)) {
-		if maxSteps > 0 && m.Steps >= maxSteps {
-			return ErrStepLimit
-		}
-		return m.fault(FaultBadPC, "vm: pc %d outside program [0,%d)", pc, len(m.Prog.Instrs))
-	}
-	limit := int64(1) << 62
-	if maxSteps > 0 {
-		limit = maxSteps
-	}
-	u := &m.ops[pc]
 	steps := m.Steps
 	for {
 		if steps >= limit {
@@ -535,10 +531,30 @@ func (m *Machine) Run(maxSteps int64) error {
 		nu := u.fn(m, u)
 		if nu == nil {
 			m.Steps = steps
-			return m.SettleExec(int(u.pc), stop)
+			return m.settleExec(int(u.pc), stop)
 		}
 		u = nu
 	}
+}
+
+// start prepares a batched loop: the micro-op at m.PC and the step limit.
+// A nil micro-op means the loop must not run, and err is its result.
+func (m *Machine) start(maxSteps int64) (u *uop, limit int64, err error) {
+	if m.Halted {
+		return nil, 0, nil
+	}
+	pc := m.PC
+	if uint(pc) >= uint(len(m.ops)) {
+		if maxSteps > 0 && m.Steps >= maxSteps {
+			return nil, 0, ErrStepLimit
+		}
+		return nil, 0, m.fault(FaultBadPC, "vm: pc %d outside program [0,%d)", pc, len(m.Prog.Instrs))
+	}
+	limit = int64(1) << 62
+	if maxSteps > 0 {
+		limit = maxSteps
+	}
+	return &m.ops[pc], limit, nil
 }
 
 // runSlow is the per-step execution loop: the legacy Run semantics, and the
