@@ -46,6 +46,10 @@ type Fragment struct {
 	// t2Next is the completion count at which promotion is (re)attempted;
 	// deopts push it out exponentially.
 	t2Next int64
+	// t2Base is the Flow that Restore credited to Completions from a
+	// persisted trace: a prior that orders snapshots, merges and clamps,
+	// never promotion evidence, which counts only Completions - t2Base.
+	t2Base int64
 	// t2Deopts counts torn-down superblocks (drives the backoff shift).
 	t2Deopts int64
 	// t2Enters/t2Short drive the deopt heuristic: entries vs. unproductive

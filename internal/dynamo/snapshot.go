@@ -216,6 +216,7 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 		}
 		return traces[i].Start < traces[j].Start
 	})
+	var decided []*Fragment // installed with a persisted tier-2 decision
 	for _, t := range traces {
 		if len(s.cache) >= s.cfg.MaxFragments {
 			break
@@ -245,23 +246,25 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 			continue
 		}
 		fr.Completions = t.Flow
+		fr.t2Base = t.Flow
 		s.res.RestoredFragments++
+		if t.Tier2 {
+			decided = append(decided, fr)
+		}
 	}
 
-	// Persisted tier-2 decisions: re-enqueue on the background compiler now,
+	// Persisted tier-2 decisions: enqueue on the background compiler now,
 	// before the first guest instruction, so compilation overlaps the run's
-	// cold start. With zero path events the flow-dominance gate passes
-	// trivially — the collecting run already proved dominance.
+	// cold start. The decision is the collecting run's evidence; every other
+	// restored fragment reaches tier 2 only on evidence from this run
+	// (maybePromote), because its restored flow is a prior, not a count.
+	// Enqueued after every trace is installed, so each chain links through
+	// the whole restored cache.
 	if s.t2c != nil {
-		for _, t := range traces {
-			if !t.Tier2 {
-				continue
-			}
-			if fr := s.cache[t.Start]; fr != nil {
-				s.maybePromote(fr)
-				if fr.t2Queued {
-					s.res.RestoredT2++
-				}
+		for _, fr := range decided {
+			s.promote(fr)
+			if fr.t2Queued {
+				s.res.RestoredT2++
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"netpath/internal/isa"
 	"netpath/internal/prog"
@@ -171,6 +172,137 @@ func TestRestoreWarmStart(t *testing.T) {
 	}
 	if warm.Machine().Reg != cold.Machine().Reg {
 		t.Error("warm run architectural state differs from cold run")
+	}
+}
+
+// TestTier2RestoredFlowIsNotEvidence: a restored fragment's Completions
+// start at its persisted Flow, but promotion counts only completions seen in
+// this run. Without a persisted tier-2 decision it reaches the queue after
+// Tier2Threshold in-run completions that pass the flow gate against this
+// run's path events; with one, Restore enqueues it at once, and deopt
+// backoff still pushes the next attempt out exponentially.
+func TestTier2RestoredFlowIsNotEvidence(t *testing.T) {
+	const (
+		threshold = 4
+		bigFlow   = 1 << 20
+	)
+	p := buildHotLoop(t, 2_000)
+	cold := New(p, DefaultConfig(SchemeNET, 5))
+	if _, err := cold.Run(); err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	snap := cold.Snapshot("")
+	if len(snap.Traces) == 0 {
+		t.Fatal("cold run snapshot has no traces")
+	}
+	for i := range snap.Traces {
+		snap.Traces[i].Flow = bigFlow
+		snap.Traces[i].Tier2 = false
+	}
+
+	tc := NewTier2Compiler(1, 16)
+	defer tc.Close()
+	cfg := DefaultConfig(SchemeNET, 5)
+	cfg.Tier2 = tc
+	cfg.Tier2Threshold = threshold
+	warm := func() (*System, []*Fragment) {
+		t.Helper()
+		sys := New(p, cfg)
+		if err := sys.Restore(snap); err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+		var frs []*Fragment
+		for _, fr := range sys.cache {
+			if fr.Completions != bigFlow {
+				t.Fatalf("fragment %d restored with %d completions, want the persisted flow %d",
+					fr.Start, fr.Completions, bigFlow)
+			}
+			frs = append(frs, fr)
+		}
+		if len(frs) == 0 {
+			t.Fatal("Restore installed no fragment")
+		}
+		sort.Slice(frs, func(i, j int) bool { return frs[i].Start < frs[j].Start })
+		return sys, frs
+	}
+	promoted := func(fr *Fragment) bool { return fr.t2Queued || fr.t2.Load() != nil }
+
+	// Below the threshold in this run nothing reaches the queue, however
+	// large the restored flow; the threshold-th in-run completion does (each
+	// fragment carries far more than 1/Tier2MinFlow of this run's events).
+	sys, frs := warm()
+	if sys.res.RestoredT2 != 0 || sys.res.T2Promotions != 0 {
+		t.Fatalf("restore without tier-2 decisions promoted: RestoredT2=%d T2Promotions=%d",
+			sys.res.RestoredT2, sys.res.T2Promotions)
+	}
+	for k := int64(1); k <= threshold; k++ {
+		for _, fr := range frs {
+			fr.Completions++
+			sys.res.PathEvents++
+			sys.maybePromote(fr)
+			if got, want := promoted(fr), k == threshold; got != want {
+				t.Fatalf("fragment %d after %d in-run completions: promoted=%v, want %v (threshold %d)",
+					fr.Start, k, got, want, threshold)
+			}
+		}
+	}
+
+	// The flow gate weighs in-run completions against this run's path
+	// events: past the threshold but under 1/Tier2MinFlow of the run's flow,
+	// a restored fragment stays in tier 1.
+	sys, frs = warm()
+	fr := frs[0]
+	events := 2 * threshold * sys.t2MinFlow
+	sys.res.PathEvents = events
+	for k := int64(1); k <= 2*threshold; k++ {
+		fr.Completions++
+		sys.maybePromote(fr)
+		if got, want := promoted(fr), k*sys.t2MinFlow >= events; got != want {
+			t.Fatalf("after %d in-run completions of %d path events: promoted=%v, want %v",
+				k, events, got, want)
+		}
+	}
+
+	// A persisted decision still enqueues at restore, before any evidence.
+	for i := range snap.Traces {
+		snap.Traces[i].Tier2 = true
+	}
+	sys, frs = warm()
+	if sys.res.RestoredT2 == 0 {
+		t.Fatal("persisted tier-2 decision was not enqueued at restore")
+	}
+	fr = nil
+	for _, cand := range frs {
+		if cand.t2Queued {
+			fr = cand
+			break
+		}
+	}
+	if fr == nil {
+		t.Fatal("RestoredT2 > 0 but no fragment is queued")
+	}
+	// Deopt backoff: each teardown re-arms promotion threshold<<deopts
+	// completions out, and not one completion sooner.
+	for d := int64(1); d <= 3; d++ {
+		for end := time.Now().Add(10 * time.Second); fr.t2.Load() == nil; time.Sleep(time.Millisecond) {
+			if time.Now().After(end) {
+				t.Fatal("tier-2 compile never published")
+			}
+		}
+		sys.t2Deopt(fr)
+		if want := fr.Completions + threshold<<d; fr.t2Next != want {
+			t.Fatalf("deopt %d: t2Next = %d, want %d", d, fr.t2Next, want)
+		}
+		fr.Completions = fr.t2Next - 1
+		sys.maybePromote(fr)
+		if promoted(fr) {
+			t.Fatalf("deopt %d: re-promoted one completion before the backoff", d)
+		}
+		fr.Completions++
+		sys.maybePromote(fr)
+		if !fr.t2Queued {
+			t.Fatalf("deopt %d: not re-promoted at the backoff", d)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@
 //
 // The tier-1 fragment executor (runFragment) pays a per-micro-op handler
 // call, a successor compare, and a budget check per guest step. Tier 2
-// removes all three for the dominant path: when a fragment's completion
-// counter crosses a threshold, the mutator snapshots the fragment chain
+// removes all three for the dominant path: when a fragment's completions in
+// this run cross a threshold, the mutator snapshots the fragment chain
 // reachable through completion links and enqueues it on a bounded compile
 // queue served by background workers (internal/par's resident pool). A
 // worker lowers the chain with vm.CompileSuperblock — guard hoisting,
@@ -17,8 +17,9 @@
 //
 // Ownership discipline (what makes this -race clean): a Fragment's t2 field
 // is the ONLY field a compile worker writes, and it is atomic; every other
-// tier-2 field (t2Queued, t2Next, counters) is mutator-only. The job carries
-// snapshot copies of the trace — the worker never reads live fragment state.
+// tier-2 field (t2Queued, t2Next, t2Base, counters) is mutator-only. The job
+// carries snapshot copies of the trace — the worker never reads live
+// fragment state.
 //
 // Accounting: a completed superblock is architecturally identical to
 // running its guest steps through tier 1, so the run's counters are settled
@@ -347,8 +348,10 @@ func (c *Tier2Compiler) Depth() int {
 	return c.depth
 }
 
-// maybePromote enqueues fr for background compilation once its completion
-// count crosses the threshold. Mutator-only; the only allocation-bearing
+// maybePromote enqueues fr for background compilation once this run has
+// proved it hot: Tier2Threshold completions observed in this run, carrying
+// at least 1/Tier2MinFlow of this run's path events (flow restored from a
+// snapshot counts toward neither). Mutator-only; the only allocation-bearing
 // path of tier 2 on the mutator (the snapshot), entered at most once per
 // threshold crossing per fragment.
 func (s *System) maybePromote(fr *Fragment) {
@@ -356,12 +359,12 @@ func (s *System) maybePromote(fr *Fragment) {
 		return
 	}
 	if fr.t2Next == 0 {
-		fr.t2Next = s.t2Threshold
+		fr.t2Next = fr.t2Base + s.t2Threshold
 	}
 	if fr.Completions < fr.t2Next {
 		return
 	}
-	if s.t2MinFlow > 1 && fr.Completions*s.t2MinFlow < s.res.PathEvents {
+	if s.t2MinFlow > 1 && (fr.Completions-fr.t2Base)*s.t2MinFlow < s.res.PathEvents {
 		// Past the threshold but not dominant: the fragment carries less
 		// than 1/Tier2MinFlow of the run's path flow. Lukewarm fragments
 		// never repay their compile — on a single-core host the compile
@@ -369,19 +372,24 @@ func (s *System) maybePromote(fr *Fragment) {
 		// stolen mutator time. Keep checking: dominance can arrive later.
 		return
 	}
+	s.promote(fr)
+}
+
+// promote snapshots fr's completion chain and enqueues it on the compile
+// queue, with no evidence check: maybePromote calls it once this run has
+// proved fr hot, Restore for a persisted tier-2 decision.
+func (s *System) promote(fr *Fragment) {
 	if s.cache[fr.Start] != fr {
 		return // flushed or superseded since entry; let it die
 	}
 	job := s.snapshotChain(fr)
-	if job != nil {
-		job.tr, job.trParent = s.tr, s.trParent
-	}
 	if job == nil {
 		// Not worth compiling (too short, too long, or malformed): tombstone
 		// so the threshold check never fires again for this fragment.
 		fr.t2.Store(&t2Block{})
 		return
 	}
+	job.tr, job.trParent = s.tr, s.trParent
 	if !s.t2c.enqueue(s.cfg.Tier2Tenant, job) {
 		// Queue full: back off one threshold's worth of completions.
 		fr.t2Next = fr.Completions + s.t2Threshold
@@ -393,7 +401,7 @@ func (s *System) maybePromote(fr *Fragment) {
 	// Donate the rest of this quantum to the compile worker. The enqueue
 	// above never blocks, but on GOMAXPROCS=1 the worker otherwise waits
 	// for the next involuntary preemption (~10ms) — most of a short run —
-	// before it can publish. Promotions are rare (dominance-gated), so the
+	// before it can publish. Promotions are rare (evidence-gated), so the
 	// yield costs one scheduler round-trip and buys immediate coverage.
 	runtime.Gosched()
 }
@@ -417,8 +425,8 @@ func (s *System) snapshotChain(fr *Fragment) *t2Job {
 		cap = t2UnrollCap
 	}
 	// Walk the chain first, so the step copies below are allocated once at
-	// their exact length: a warm-started run re-promotes every restored hot
-	// chain, and growing the copies by append doubled their allocation.
+	// their exact length. Only chains this run proved hot, or restored as
+	// persisted tier-2 decisions, get here; restored flow alone never does.
 	var bounds []t2Bound
 	n := 0
 	for cur := fr; len(cur.Steps) > 0 && n+len(cur.Steps) <= cap; {
