@@ -47,8 +47,8 @@ type Fragment struct {
 	// deopts push it out exponentially.
 	t2Next int64
 	// t2Base is the Flow that Restore credited to Completions from a
-	// persisted trace: a prior that orders snapshots, merges and clamps,
-	// never promotion evidence, which counts only Completions - t2Base.
+	// persisted trace: a prior that orders the restore, never evidence.
+	// Promotion, Snapshot and CacheStats count only Completions - t2Base.
 	t2Base int64
 	// t2Deopts counts torn-down superblocks (drives the backoff shift).
 	t2Deopts int64

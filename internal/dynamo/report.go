@@ -6,7 +6,8 @@ import (
 	"strings"
 )
 
-// FragmentStat summarizes one resident fragment for inspection.
+// FragmentStat summarizes one resident fragment for inspection. Enters and
+// Completions are this run's; a warm start's restored flow is excluded.
 type FragmentStat struct {
 	Start       int
 	Len         int
@@ -36,7 +37,7 @@ func (s *System) CacheStats() []FragmentStat {
 			Len:         fr.Len(),
 			Emitted:     fr.EmittedLen(),
 			Enters:      fr.Enters,
-			Completions: fr.Completions,
+			Completions: fr.Completions - fr.t2Base,
 			EarlyExits:  fr.EarlyExits,
 		})
 	}

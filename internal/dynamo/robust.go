@@ -35,11 +35,16 @@ const headCounterMax = int64(1) << 50
 // (every backward-branch target cold and distinct) even a head-counter map
 // grows without bound; the cap makes the memory ceiling hard and the
 // governor watches the eviction rate for thrash. max <= 0 means unbounded.
+//
+// prior holds, per slot, the count a snapshot restore seeded: it counts
+// toward τ like any other, but observed reports only what the run added on
+// top. It stays nil — and costs nothing — in a System that restored nothing.
 type headTable struct {
 	max       int
 	index     map[int]int
 	keys      []int
 	vals      []int64
+	prior     []int64
 	ref       []bool
 	hand      int
 	evictions int64
@@ -59,11 +64,17 @@ func (t *headTable) add(key int, delta int64) int64 {
 			delete(t.index, t.keys[i])
 			t.keys[i] = key
 			t.vals[i] = 0
+			if t.prior != nil {
+				t.prior[i] = 0
+			}
 		} else {
 			i = len(t.keys)
 			t.keys = append(t.keys, key)
 			t.vals = append(t.vals, 0)
 			t.ref = append(t.ref, false)
+			if t.prior != nil {
+				t.prior = append(t.prior, 0)
+			}
 		}
 		t.index[key] = i
 	}
@@ -92,11 +103,34 @@ func (t *headTable) evict() int {
 	return i
 }
 
-// zero resets key's counter without deallocating it.
+// zero resets key's counter without deallocating it; whatever it counts
+// from here on is observed.
 func (t *headTable) zero(key int) {
 	if i, ok := t.index[key]; ok {
 		t.vals[i] = 0
+		if t.prior != nil {
+			t.prior[i] = 0
+		}
 	}
+}
+
+// seed adds a restored count to key's counter and records it as the slot's
+// prior (snapshot restore).
+func (t *headTable) seed(key int, count int64) {
+	if t.prior == nil {
+		t.prior = make([]int64, len(t.keys))
+	}
+	t.add(key, count)
+	i := t.index[key]
+	t.prior[i] = t.vals[i]
+}
+
+// observed returns slot i's count net of its restored prior.
+func (t *headTable) observed(i int) int64 {
+	if t.prior == nil {
+		return t.vals[i]
+	}
+	return max(0, t.vals[i]-t.prior[i])
 }
 
 // len returns the number of live counters.

@@ -9,9 +9,10 @@
 package dynamo
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"netpath/internal/dataflow"
@@ -73,6 +74,11 @@ func (s *System) SnapshotLimits() snapshot.Limits {
 // and never perturbs the run. The result is canonical and self-contained:
 // instruction words are re-derived from the program at restore, so the
 // snapshot carries only addresses and counters.
+//
+// Every count is what this run observed: head counters, path counters and
+// trace flow are reported net of the prior Restore seeded them with. A
+// merged profile thus stays "the deepest single run" across warm-start
+// chains instead of gaining one run's counts per generation.
 func (s *System) Snapshot(tenant string) *snapshot.Snapshot {
 	snap := &snapshot.Snapshot{
 		Tenant:         tenant,
@@ -88,7 +94,7 @@ func (s *System) Snapshot(tenant string) *snapshot.Snapshot {
 		snap.TraceID = s.tr.TraceID().String()
 	}
 	for i, k := range s.heads.keys {
-		if v := s.heads.vals[i]; v > 0 {
+		if v := s.heads.observed(i); v > 0 {
 			snap.Heads = append(snap.Heads, snapshot.HeadCount{Addr: k, Count: v})
 		}
 	}
@@ -96,7 +102,7 @@ func (s *System) Snapshot(tenant string) *snapshot.Snapshot {
 		if len(fr.Steps) == 0 {
 			continue
 		}
-		t := snapshot.Trace{Start: start, Flow: fr.Completions, Tier2: s.t2Decided(fr)}
+		t := snapshot.Trace{Start: start, Flow: fr.Completions - fr.t2Base, Tier2: s.t2Decided(fr)}
 		t.Steps = make([]snapshot.Step, len(fr.Steps))
 		for i, st := range fr.Steps {
 			t.Steps[i] = snapshot.Step{PC: st.PC, Next: st.Next}
@@ -105,6 +111,9 @@ func (s *System) Snapshot(tenant string) *snapshot.Snapshot {
 	}
 	if s.cfg.Scheme == SchemePathProfile {
 		for id, v := range s.pathCounts {
+			if id < len(s.pathPrior) {
+				v -= s.pathPrior[id]
+			}
 			if v <= 0 {
 				continue
 			}
@@ -148,6 +157,12 @@ func (s *System) t2Decided(fr *Fragment) bool {
 // decisions on the background compiler — so the first execution of a hot
 // address enters the cache instead of the interpreter.
 //
+// Seeded counts are a prior: they count toward τ (and order the restore)
+// like any other, but Snapshot reports only what the run adds on top, and
+// promotion counts only in-run completions. A head's prior is forgotten
+// when its counter is zeroed at selection or its slot is recycled, a
+// path's when the interner recycles its ID.
+//
 // The snapshot must match this System's program fingerprint and scheme, and
 // is validated and clamped against SnapshotLimits first; a failed Restore
 // leaves the System exactly as cold as it was. Addresses are bounds-checked
@@ -189,19 +204,15 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 
 	// Head counters, heaviest first, so if the table is somehow tighter than
 	// the clamp (unbounded-config edge cases) the hot heads win the slots.
-	heads := append([]snapshot.HeadCount(nil), cl.Heads...)
-	sort.Slice(heads, func(i, j int) bool {
-		if heads[i].Count != heads[j].Count {
-			return heads[i].Count > heads[j].Count
-		}
-		return heads[i].Addr < heads[j].Addr
+	slices.SortFunc(cl.Heads, func(a, b snapshot.HeadCount) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Addr, b.Addr))
 	})
 	nInstr := s.m.Prog.Len()
-	for _, h := range heads {
+	for _, h := range cl.Heads {
 		if h.Addr >= nInstr || s.black.barred(h.Addr) {
 			continue
 		}
-		s.heads.add(h.Addr, h.Count)
+		s.heads.seed(h.Addr, h.Count)
 		s.res.RestoredHeads++
 	}
 
@@ -209,15 +220,11 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 	// dominant paths get the cache slots, and installation stops before the
 	// cache would flush (a warm-start must never begin life by flushing what
 	// it just installed).
-	traces := append([]snapshot.Trace(nil), cl.Traces...)
-	sort.Slice(traces, func(i, j int) bool {
-		if traces[i].Flow != traces[j].Flow {
-			return traces[i].Flow > traces[j].Flow
-		}
-		return traces[i].Start < traces[j].Start
+	slices.SortFunc(cl.Traces, func(a, b snapshot.Trace) int {
+		return cmp.Or(cmp.Compare(b.Flow, a.Flow), cmp.Compare(a.Start, b.Start))
 	})
 	var decided []*Fragment // installed with a persisted tier-2 decision
-	for _, t := range traces {
+	for _, t := range cl.Traces {
 		if len(s.cache) >= s.cfg.MaxFragments {
 			break
 		}
@@ -281,6 +288,10 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 			if p.Count > s.pathCounts[id] {
 				s.pathCounts[id] = p.Count
 			}
+			for int(id) >= len(s.pathPrior) {
+				s.pathPrior = append(s.pathPrior, 0)
+			}
+			s.pathPrior[id] = s.pathCounts[id]
 			if s.pathCounts[id] >= s.cfg.Tau {
 				s.armed[id] = true
 			}

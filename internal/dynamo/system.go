@@ -353,6 +353,7 @@ type System struct {
 	// Selector state.
 	heads      *headTable // NET head counters (bounded, CLOCK-evicted)
 	pathCounts []int64    // PathProfile, by path ID
+	pathPrior  []int64    // PathProfile, restored part of pathCounts (Restore only)
 	armed      map[path.ID]bool
 
 	// Degradation state.
@@ -506,6 +507,7 @@ func (s *System) resetRunState() {
 	s.mode = modeInterp
 	s.heads = newHeadTable(cfg.MaxHeadCounters)
 	s.pathCounts = s.pathCounts[:0]
+	s.pathPrior = s.pathPrior[:0]
 	s.armed = make(map[path.ID]bool)
 	s.cache = make(map[int]*Fragment)
 	s.everCached = make(map[int]bool)
@@ -516,6 +518,9 @@ func (s *System) resetRunState() {
 		s.interner.SetCapacity(cfg.MaxPaths, func(id path.ID) {
 			if int(id) < len(s.pathCounts) {
 				s.pathCounts[id] = 0
+			}
+			if int(id) < len(s.pathPrior) {
+				s.pathPrior[id] = 0
 			}
 			delete(s.armed, id)
 		})

@@ -117,3 +117,83 @@ func TestWarmStartPromotionBounded(t *testing.T) {
 	}
 	t.Logf("promotions: cold %d, %d warm runs %d", cold, warm, total)
 }
+
+// TestWarmStartProfileBounded: a warm run's snapshot persists only what
+// the run itself observed — never the counts Restore seeded — so merging it
+// back cannot grow the stored profile by one run's counts per request. One
+// tenant submits one program cold, then twenty times warm; the stored
+// profile's trace count and summed head counts stay within a small multiple
+// of the cold run's, and every response matches a plain-VM reference.
+// Re-persisting the prior makes every head that runs at all hot after about
+// τ requests, which breaks the bound well before the last one.
+func TestWarmStartProfileBounded(t *testing.T) {
+	const (
+		bench = "m88ksim"
+		scale = 0.01
+		warm  = 20
+		bound = 3 // stored profile ≤ bound × the cold run's
+	)
+	b, err := workload.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := b.Build(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := vm.New(p)
+	if err := ref.RunContext(context.Background(), 1<<40); err != nil {
+		t.Fatalf("plain VM reference: %v", err)
+	}
+
+	cfg := quietCfg(t)
+	cfg.Tier2 = true
+	cfg.Tier2Workers = 1
+	cfg.SnapshotLimit = 8
+	s, ts := startServer(t, cfg)
+	key := snapKey{tenant: "bloat", fp: p.Fingerprint(), scheme: dynamo.SchemeNET.String()}
+	stored := func() (traces int, heads int64) {
+		sn := s.snaps.get(key)
+		if sn == nil {
+			t.Fatal("no profile in the store")
+		}
+		for _, h := range sn.Heads {
+			heads += h.Count
+		}
+		return len(sn.Traces), heads
+	}
+
+	var coldTraces int
+	var coldHeads int64
+	for i := 0; i <= warm; i++ {
+		status, rr, apiErr, _ := postRun(t, ts.URL, map[string]any{
+			"tenant": "bloat", "bench": bench, "scale": scale,
+		})
+		if apiErr != nil || rr == nil {
+			t.Fatalf("run %d: status=%d err=%v", i, status, apiErr)
+		}
+		if rr.Mode != "dynamo" || rr.Steps != ref.Steps || !slices.Equal(rr.Regs, ref.Reg[:]) {
+			t.Fatalf("run %d: mode %s steps %d, registers differ from plain VM (steps %d)",
+				i, rr.Mode, rr.Steps, ref.Steps)
+		}
+		if (i == 0) != (rr.Restored == 0) {
+			t.Fatalf("run %d restored %d fragments; want a cold first run and warm runs after", i, rr.Restored)
+		}
+		traces, heads := stored()
+		if i == 0 {
+			coldTraces, coldHeads = traces, heads
+			if coldTraces == 0 || coldHeads == 0 {
+				t.Fatal("cold run stored an empty profile; the test program is too cold")
+			}
+			continue
+		}
+		if traces > bound*coldTraces || heads > bound*coldHeads {
+			t.Fatalf("after warm run %d the stored profile holds %d traces and %d head counts; want ≤ %d× the cold run's %d and %d",
+				i, traces, heads, bound, coldTraces, coldHeads)
+		}
+		if i == warm {
+			t.Logf("stored profile: cold %d traces / %d head counts, after %d warm runs %d / %d",
+				coldTraces, coldHeads, warm, traces, heads)
+		}
+	}
+}

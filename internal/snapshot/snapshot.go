@@ -11,7 +11,14 @@
 // snapshot (retries, overlapping collection windows, fan-in trees that see a
 // leaf twice) is a no-op rather than double-counting. Flow weighting lives
 // in the survivor rules: when two runs disagree about a head's trace, the
-// one that carried more completions wins.
+// one that carried more completions wins. A merged count therefore reads as
+// the deepest single run folded in, never a fleet total. That holds under
+// warm-start chains too, because a snapshot carries only what its own run
+// observed: the counts a restore seeded are never re-persisted, so
+// restore → run → snapshot → merge converges on the single-run hot set.
+//
+// Merge is a linear merge-join over the canonically sorted sections; an
+// input section that is not sorted is sorted as a copy first.
 //
 // Capacity is enforced separately from merging: Clamp deterministically
 // trims a snapshot to a Limits budget (top-N by weight), so imports respect
@@ -19,7 +26,11 @@
 // algebra (a capacity-aware merge would not be associative).
 package snapshot
 
-import "sort"
+import (
+	"bytes"
+	"cmp"
+	"slices"
+)
 
 // Schema identifies the wire format; bump on incompatible changes.
 const Schema = "netpath-snap/v1"
@@ -195,30 +206,70 @@ func (s *Snapshot) GroupKey() Key {
 
 // Canonicalize sorts every section into its canonical order (heads and
 // blacklist by address, traces by start, paths by key) so equal snapshots
-// compare equal byte-for-byte and encoded files diff cleanly.
+// compare equal byte-for-byte and encoded files diff cleanly. Sections that
+// are already in order are left alone.
 func (s *Snapshot) Canonicalize() {
-	sort.Slice(s.Heads, func(i, j int) bool { return s.Heads[i].Addr < s.Heads[j].Addr })
-	sort.Slice(s.Traces, func(i, j int) bool { return s.Traces[i].Start < s.Traces[j].Start })
-	sort.Slice(s.Paths, func(i, j int) bool { return compareKeys(s.Paths[i].Key, s.Paths[j].Key) < 0 })
-	sort.Slice(s.Blacklist, func(i, j int) bool { return s.Blacklist[i].Addr < s.Blacklist[j].Addr })
+	sortIfNeeded(s.Heads, headCmp)
+	sortIfNeeded(s.Traces, traceCmp)
+	sortIfNeeded(s.Paths, pathCmp)
+	sortIfNeeded(s.Blacklist, blackCmp)
 }
 
-func compareKeys(a, b []byte) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
+// The canonical orders of the four sections.
+func headCmp(a, b HeadCount) int   { return cmp.Compare(a.Addr, b.Addr) }
+func traceCmp(a, b Trace) int      { return cmp.Compare(a.Start, b.Start) }
+func pathCmp(a, b PathCount) int   { return bytes.Compare(a.Key, b.Key) }
+func blackCmp(a, b BlackEntry) int { return cmp.Compare(a.Addr, b.Addr) }
+
+func sortIfNeeded[T any](x []T, cmp func(a, b T) int) {
+	if !slices.IsSortedFunc(x, cmp) {
+		slices.SortFunc(x, cmp)
+	}
+}
+
+// sortedView returns x in cmp order: x itself when it already is, else a
+// sorted copy (Merge never modifies its inputs).
+func sortedView[T any](x []T, cmp func(a, b T) int) []T {
+	if slices.IsSortedFunc(x, cmp) {
+		return x
+	}
+	x = slices.Clone(x)
+	slices.SortFunc(x, cmp)
+	return x
+}
+
+// join merge-joins two sections into one entry per key, in canonical order.
+// Each input is walked once in cmp order (unsorted inputs are sorted as a
+// copy); every entry is normalized by norm, each run of equal keys from
+// either input folds to its survivor under better (does x beat cur?), and
+// keep filters the survivor and copies what it must not share with the
+// inputs.
+func join[T any](a, b []T, cmp func(x, y T) int, norm func(T) T,
+	better func(cur, x T) bool, keep func(T) (T, bool)) []T {
+	a, b = sortedView(a, cmp), sortedView(b, cmp)
+	var out []T
+	for len(a) > 0 || len(b) > 0 {
+		var cur T
+		if len(b) == 0 || (len(a) > 0 && cmp(a[0], b[0]) <= 0) {
+			cur = a[0]
+		} else {
+			cur = b[0]
+		}
+		cur = norm(cur)
+		fold := func(in []T) []T {
+			for ; len(in) > 0 && cmp(in[0], cur) == 0; in = in[1:] {
+				if x := norm(in[0]); better(cur, x) {
+					cur = x
+				}
 			}
-			return 1
+			return in
+		}
+		a, b = fold(a), fold(b)
+		if v, ok := keep(cur); ok {
+			out = append(out, v)
 		}
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	return out
 }
 
 func satAdd(v int64) int64 {
@@ -257,55 +308,22 @@ func Merge(a, b *Snapshot) (*Snapshot, error) {
 		out.CapturedUnixNS, out.TraceID = b.CapturedUnixNS, b.TraceID
 	}
 
-	heads := map[int]int64{}
-	for _, h := range a.Heads {
-		heads[h.Addr] = maxI64(heads[h.Addr], satAdd(h.Count))
-	}
-	for _, h := range b.Heads {
-		heads[h.Addr] = maxI64(heads[h.Addr], satAdd(h.Count))
-	}
-	for addr, n := range heads {
-		out.Heads = append(out.Heads, HeadCount{Addr: addr, Count: n})
-	}
-
-	traces := map[int]Trace{}
-	for _, t := range a.Traces {
-		mergeTrace(traces, t)
-	}
-	for _, t := range b.Traces {
-		mergeTrace(traces, t)
-	}
-	for _, t := range traces {
-		out.Traces = append(out.Traces, t)
-	}
-
-	paths := map[string]PathCount{}
-	for _, p := range a.Paths {
-		mergePath(paths, p)
-	}
-	for _, p := range b.Paths {
-		mergePath(paths, p)
-	}
-	for _, p := range paths {
-		out.Paths = append(out.Paths, p)
-	}
-
-	black := map[int]int{}
-	for _, e := range a.Blacklist {
-		if e.Aborts > black[e.Addr] {
-			black[e.Addr] = e.Aborts
-		}
-	}
-	for _, e := range b.Blacklist {
-		if e.Aborts > black[e.Addr] {
-			black[e.Addr] = e.Aborts
-		}
-	}
-	for addr, n := range black {
-		out.Blacklist = append(out.Blacklist, BlackEntry{Addr: addr, Aborts: n})
-	}
-
-	out.Canonicalize()
+	out.Heads = join(a.Heads, b.Heads, headCmp,
+		func(h HeadCount) HeadCount { h.Count = satAdd(h.Count); return h },
+		func(cur, x HeadCount) bool { return x.Count > cur.Count },
+		func(h HeadCount) (HeadCount, bool) { return h, true })
+	out.Traces = join(a.Traces, b.Traces, traceCmp,
+		func(t Trace) Trace { t.Flow = satAdd(t.Flow); return t },
+		traceLess,
+		func(t Trace) (Trace, bool) { t.Steps = append([]Step(nil), t.Steps...); return t, true })
+	out.Paths = join(a.Paths, b.Paths, pathCmp,
+		func(p PathCount) PathCount { p.Count = satAdd(p.Count); return p },
+		pathLess,
+		func(p PathCount) (PathCount, bool) { p.Key = append([]byte(nil), p.Key...); return p, true })
+	out.Blacklist = join(a.Blacklist, b.Blacklist, blackCmp,
+		func(e BlackEntry) BlackEntry { return e },
+		func(cur, x BlackEntry) bool { return x.Aborts > cur.Aborts },
+		func(e BlackEntry) (BlackEntry, bool) { return e, e.Aborts > 0 })
 	return out, nil
 }
 
@@ -332,25 +350,13 @@ func MergeAll(snaps []*Snapshot) (*Snapshot, error) {
 	return acc, nil
 }
 
-// mergeTrace joins t into the per-head survivor map. The survivor is the
-// MAX under a total order on (flow, length, step bytes, tier-2 bit) — a pure
-// max over a total order, which is exactly what makes Merge associative: the
-// survivor of any merge tree is the argmax over all traces ever seen for the
-// head, independent of grouping. The whole tuple survives, so the tier-2
-// decision always rides the trace that earned it; between byte-identical
-// traces with equal flow, the promoted one wins the tie-break.
-func mergeTrace(m map[int]Trace, t Trace) {
-	t.Flow = satAdd(t.Flow)
-	cur, ok := m[t.Start]
-	if !ok || traceLess(cur, t) {
-		t.Steps = append([]Step(nil), t.Steps...)
-		m[t.Start] = t
-	}
-}
-
 // traceLess reports whether b beats a as the surviving trace for a head.
-// It is a strict weak ordering over the full trace tuple; Tier2 last so two
-// observations of the same trace resolve toward the one that was promoted.
+// The survivor is the MAX under a total order on (flow, length, step bytes,
+// tier-2 bit) — a pure max over a total order, which is exactly what makes
+// Merge associative: the survivor of any merge tree is the argmax over all
+// traces ever seen for the head, independent of grouping. The whole tuple
+// survives, so the tier-2 decision always rides the trace that earned it;
+// between byte-identical traces with equal flow, the promoted one wins.
 func traceLess(a, b Trace) bool {
 	if a.Flow != b.Flow {
 		return a.Flow < b.Flow
@@ -369,20 +375,10 @@ func traceLess(a, b Trace) bool {
 	return !a.Tier2 && b.Tier2
 }
 
-// mergePath joins p into the per-key survivor map — same pure-max-under-
-// total-order construction as mergeTrace. In well-formed data a key fully
-// determines Start and Branches, but the order makes merging robust (and
-// associative) even when inputs disagree.
-func mergePath(m map[string]PathCount, p PathCount) {
-	p.Count = satAdd(p.Count)
-	k := string(p.Key)
-	cur, ok := m[k]
-	if !ok || pathLess(cur, p) {
-		p.Key = append([]byte(nil), p.Key...)
-		m[k] = p
-	}
-}
-
+// pathLess reports whether b beats a as the surviving count for a path key
+// — the same pure max under a total order as traceLess. In well-formed data
+// a key fully determines Start and Branches, but the order makes merging
+// robust (and associative) even when inputs disagree.
 func pathLess(a, b PathCount) bool {
 	if a.Count != b.Count {
 		return a.Count < b.Count
@@ -402,11 +398,8 @@ func pathLess(a, b PathCount) bool {
 func (s *Snapshot) Clamp(lim Limits) {
 	lim = lim.withDefaults()
 	if len(s.Heads) > lim.MaxHeads {
-		sort.Slice(s.Heads, func(i, j int) bool {
-			if s.Heads[i].Count != s.Heads[j].Count {
-				return s.Heads[i].Count > s.Heads[j].Count
-			}
-			return s.Heads[i].Addr < s.Heads[j].Addr
+		slices.SortFunc(s.Heads, func(a, b HeadCount) int {
+			return cmp.Or(cmp.Compare(b.Count, a.Count), headCmp(a, b))
 		})
 		s.Heads = s.Heads[:lim.MaxHeads]
 	}
@@ -418,11 +411,8 @@ func (s *Snapshot) Clamp(lim Limits) {
 	}
 	s.Traces = kept
 	if len(s.Traces) > lim.MaxTraces {
-		sort.Slice(s.Traces, func(i, j int) bool {
-			if s.Traces[i].Flow != s.Traces[j].Flow {
-				return s.Traces[i].Flow > s.Traces[j].Flow
-			}
-			return s.Traces[i].Start < s.Traces[j].Start
+		slices.SortFunc(s.Traces, func(a, b Trace) int {
+			return cmp.Or(cmp.Compare(b.Flow, a.Flow), traceCmp(a, b))
 		})
 		s.Traces = s.Traces[:lim.MaxTraces]
 	}
@@ -434,20 +424,14 @@ func (s *Snapshot) Clamp(lim Limits) {
 	}
 	s.Paths = keptP
 	if len(s.Paths) > lim.MaxPaths {
-		sort.Slice(s.Paths, func(i, j int) bool {
-			if s.Paths[i].Count != s.Paths[j].Count {
-				return s.Paths[i].Count > s.Paths[j].Count
-			}
-			return compareKeys(s.Paths[i].Key, s.Paths[j].Key) < 0
+		slices.SortFunc(s.Paths, func(a, b PathCount) int {
+			return cmp.Or(cmp.Compare(b.Count, a.Count), pathCmp(a, b))
 		})
 		s.Paths = s.Paths[:lim.MaxPaths]
 	}
 	if len(s.Blacklist) > lim.MaxBlacklist {
-		sort.Slice(s.Blacklist, func(i, j int) bool {
-			if s.Blacklist[i].Aborts != s.Blacklist[j].Aborts {
-				return s.Blacklist[i].Aborts > s.Blacklist[j].Aborts
-			}
-			return s.Blacklist[i].Addr < s.Blacklist[j].Addr
+		slices.SortFunc(s.Blacklist, func(a, b BlackEntry) int {
+			return cmp.Or(cmp.Compare(b.Aborts, a.Aborts), blackCmp(a, b))
 		})
 		s.Blacklist = s.Blacklist[:lim.MaxBlacklist]
 	}
