@@ -69,6 +69,57 @@ func (f *Fragment) Len() int { return len(f.Steps) }
 // eliminated).
 func (f *Fragment) EmittedLen() int { return len(f.Steps) - f.Eliminated }
 
+// fragCache is the fragment cache: resident fragments indexed by the guest
+// address they start at. Every fragment entry, exit and link looks its
+// target up here, so the lookup is a bounds-checked slice index rather than
+// a map probe. The table spans the program plus one address (a trace may
+// end by falling off the last instruction) and is allocated once per
+// System; flushes clear it in place.
+type fragCache struct {
+	frags []*Fragment
+	n     int // resident fragments
+}
+
+func newFragCache(progLen int) fragCache {
+	return fragCache{frags: make([]*Fragment, progLen+1)}
+}
+
+// get returns the fragment starting at addr, or nil (also for any address
+// outside the program).
+func (c *fragCache) get(addr int) *Fragment {
+	if uint(addr) < uint(len(c.frags)) {
+		return c.frags[addr]
+	}
+	return nil
+}
+
+// put installs fr at addr, replacing any fragment there.
+func (c *fragCache) put(addr int, fr *Fragment) {
+	if c.frags[addr] == nil {
+		c.n++
+	}
+	c.frags[addr] = fr
+}
+
+// remove evicts the fragment at addr, if any.
+func (c *fragCache) remove(addr int) {
+	if c.frags[addr] != nil {
+		c.frags[addr] = nil
+		c.n--
+	}
+}
+
+// clear evicts every fragment.
+func (c *fragCache) clear() {
+	if c.n > 0 {
+		clear(c.frags)
+		c.n = 0
+	}
+}
+
+// len returns the number of resident fragments.
+func (c *fragCache) len() int { return c.n }
+
 // Optimizer applies Dynamo's lightweight trace optimizations to a recorded
 // trace. Passes are deliberately conservative: an instruction is eliminated
 // only when no on-trace use and no side exit could observe the difference

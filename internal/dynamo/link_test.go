@@ -92,7 +92,7 @@ func TestLinkedTransferCompletionAndEarlyExit(t *testing.T) {
 	transIdentity(t, "hotloop", res, cfg.Costs)
 
 	var completions, earlyExits, enters int64
-	for _, fr := range sys.cache {
+	for _, fr := range resident(sys) {
 		completions += fr.Completions
 		earlyExits += fr.EarlyExits
 		enters += fr.Enters

@@ -30,8 +30,11 @@ func (f FragmentStat) CompletionRate() float64 {
 // CacheStats returns statistics for the fragments currently resident in the
 // cache, sorted by entry count (hottest first, ties by address).
 func (s *System) CacheStats() []FragmentStat {
-	out := make([]FragmentStat, 0, len(s.cache))
-	for _, fr := range s.cache {
+	out := make([]FragmentStat, 0, s.cache.len())
+	for _, fr := range s.cache.frags {
+		if fr == nil {
+			continue
+		}
 		out = append(out, FragmentStat{
 			Start:       fr.Start,
 			Len:         fr.Len(),
@@ -57,7 +60,7 @@ func (s *System) DumpCache(n int) string {
 		stats = stats[:n]
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "fragment cache: %d resident\n", len(s.cache))
+	fmt.Fprintf(&b, "fragment cache: %d resident\n", s.cache.len())
 	for _, st := range stats {
 		fmt.Fprintf(&b, "  @%-6d len=%-3d emitted=%-3d enters=%-9d completed=%.0f%% early-exits=%d\n",
 			st.Start, st.Len, st.Emitted, st.Enters, 100*st.CompletionRate(), st.EarlyExits)

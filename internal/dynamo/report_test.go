@@ -3,6 +3,8 @@ package dynamo
 import (
 	"strings"
 	"testing"
+
+	"netpath/internal/prog"
 )
 
 func TestCacheStatsAndDump(t *testing.T) {
@@ -54,15 +56,23 @@ func TestOptimizerStatsExposed(t *testing.T) {
 
 func TestCacheStatsTieOrdering(t *testing.T) {
 	// Equal-enter fragments must sort by start address ascending so the
-	// report order (and DumpCache output) is deterministic run to run.
-	sys := New(hotLoop(3), DefaultConfig(SchemeNET, 1000))
+	// report order (and DumpCache output) is deterministic run to run. The
+	// cache is indexed by guest address, so the program must span the
+	// planted starts.
+	b := prog.NewBuilder("straight")
+	m := b.Func("main")
+	for i := 0; i < 100; i++ {
+		m.MovI(0, int64(i))
+	}
+	m.Halt()
+	sys := New(b.MustBuild(), DefaultConfig(SchemeNET, 1000))
 	for _, f := range []*Fragment{
 		{Start: 90, Enters: 5},
 		{Start: 10, Enters: 5},
 		{Start: 50, Enters: 5},
 		{Start: 70, Enters: 9},
 	} {
-		sys.cache[f.Start] = f
+		sys.cache.put(f.Start, f)
 	}
 	stats := sys.CacheStats()
 	wantStarts := []int{70, 10, 50, 90}

@@ -3,46 +3,70 @@ package dynamo
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"netpath/internal/chaos"
+	"netpath/internal/prog"
 	"netpath/internal/randprog"
 	"netpath/internal/workload"
 )
 
 // TestSystemResetReplays is the reuse contract a resident server relies on:
 // Run → Reset → Run must reproduce byte-identical results — including every
-// robustness counter — to a freshly constructed System, under every scheme
-// and with a chaos injector attached.
+// robustness counter and the resident fragment cache — to a freshly
+// constructed System, under every scheme, with a chaos injector attached,
+// and with a two-fragment cache that flushes constantly (the tables are
+// cleared in place, not reallocated, so a stale entry would show here).
 func TestSystemResetReplays(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		p := randprog.MustGenerate(seed, randprog.Options{})
 		for _, scheme := range []Scheme{SchemeNET, SchemePathProfile, SchemeStatic} {
 			cfg := DefaultConfig(scheme, 5)
 			cfg.Chaos = chaos.NewRandom(seed, softRates)
-
-			fresh := New(p, cfg)
-			want, wantErr := fresh.Run()
-
-			sys := New(p, cfg)
-			if _, err := sys.Run(); (err == nil) != (wantErr == nil) {
-				t.Fatalf("seed %d %v: first run err %v, fresh err %v", seed, scheme, err, wantErr)
-			}
-			sys.Reset()
-			got, gotErr := sys.Run()
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("seed %d %v: reset run err %v, fresh err %v", seed, scheme, gotErr, wantErr)
-			}
-			if got != want {
-				t.Errorf("seed %d %v: reset run Result differs from fresh run:\n reset: %+v\n fresh: %+v",
-					seed, scheme, got, want)
-			}
-			if sys.Machine().Steps != fresh.Machine().Steps || sys.Machine().Reg != fresh.Machine().Reg {
-				t.Errorf("seed %d %v: reset run machine state differs from fresh run", seed, scheme)
-			}
+			checkResetReplays(t, fmt.Sprintf("seed %d %v", seed, scheme), p, cfg)
 		}
 	}
+	p := multiPhase(4, 2_000, 10)
+	for _, scheme := range []Scheme{SchemeNET, SchemePathProfile, SchemeStatic} {
+		cfg := DefaultConfig(scheme, 5)
+		cfg.MaxFragments = 2
+		cfg.BailoutAfter = 0
+		if n := checkResetReplays(t, fmt.Sprintf("multiphase %v flush-heavy", scheme), p, cfg); n == 0 {
+			t.Errorf("%v: a two-fragment cache never flushed", scheme)
+		}
+	}
+}
+
+// checkResetReplays runs p fresh and on a reset System and compares the two;
+// it returns the first run's flush count.
+func checkResetReplays(t *testing.T, name string, p *prog.Program, cfg Config) int {
+	t.Helper()
+	fresh := New(p, cfg)
+	want, wantErr := fresh.Run()
+
+	sys := New(p, cfg)
+	first, err := sys.Run()
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: first run err %v, fresh err %v", name, err, wantErr)
+	}
+	sys.Reset()
+	got, gotErr := sys.Run()
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: reset run err %v, fresh err %v", name, gotErr, wantErr)
+	}
+	if got != want {
+		t.Errorf("%s: reset run Result differs from fresh run:\n reset: %+v\n fresh: %+v", name, got, want)
+	}
+	if sys.Machine().Steps != fresh.Machine().Steps || sys.Machine().Reg != fresh.Machine().Reg {
+		t.Errorf("%s: reset run machine state differs from fresh run", name)
+	}
+	if !reflect.DeepEqual(cacheImage(sys), cacheImage(fresh)) {
+		t.Errorf("%s: reset run's resident cache differs from fresh run's", name)
+	}
+	return first.Flushes
 }
 
 // TestRunContextDeadline: a guest that outlives its wall-clock budget is

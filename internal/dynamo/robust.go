@@ -36,12 +36,15 @@ const headCounterMax = int64(1) << 50
 // grows without bound; the cap makes the memory ceiling hard and the
 // governor watches the eviction rate for thrash. max <= 0 means unbounded.
 //
+// index maps a head address to its slot plus one (0: no counter) and grows
+// to the highest address counted, so a lookup is a slice index.
+//
 // prior holds, per slot, the count a snapshot restore seeded: it counts
 // toward τ like any other, but observed reports only what the run added on
 // top. It stays nil — and costs nothing — in a System that restored nothing.
 type headTable struct {
 	max       int
-	index     map[int]int
+	index     []int32
 	keys      []int
 	vals      []int64
 	prior     []int64
@@ -51,17 +54,37 @@ type headTable struct {
 }
 
 func newHeadTable(max int) *headTable {
-	return &headTable{max: max, index: make(map[int]int)}
+	return &headTable{max: max}
+}
+
+// reset forgets every counter, keeping the storage for the next run.
+func (t *headTable) reset() {
+	for _, k := range t.keys {
+		t.index[k] = 0
+	}
+	t.keys, t.vals, t.ref = t.keys[:0], t.vals[:0], t.ref[:0]
+	t.prior = nil
+	t.hand, t.evictions = 0, 0
+}
+
+// slot returns key's slot, if it has a counter.
+func (t *headTable) slot(key int) (int, bool) {
+	if uint(key) < uint(len(t.index)) {
+		if i := t.index[key]; i > 0 {
+			return int(i - 1), true
+		}
+	}
+	return 0, false
 }
 
 // add adds delta to key's counter (allocating it if new, evicting if full)
 // and returns the new value. Counters saturate at [0, headCounterMax].
 func (t *headTable) add(key int, delta int64) int64 {
-	i, ok := t.index[key]
+	i, ok := t.slot(key)
 	if !ok {
 		if t.max > 0 && len(t.keys) >= t.max {
 			i = t.evict()
-			delete(t.index, t.keys[i])
+			t.index[t.keys[i]] = 0
 			t.keys[i] = key
 			t.vals[i] = 0
 			if t.prior != nil {
@@ -76,7 +99,10 @@ func (t *headTable) add(key int, delta int64) int64 {
 				t.prior = append(t.prior, 0)
 			}
 		}
-		t.index[key] = i
+		if key >= len(t.index) {
+			t.index = append(t.index, make([]int32, key+1-len(t.index))...)
+		}
+		t.index[key] = int32(i + 1)
 	}
 	t.ref[i] = true
 	v := t.vals[i] + delta
@@ -106,7 +132,7 @@ func (t *headTable) evict() int {
 // zero resets key's counter without deallocating it; whatever it counts
 // from here on is observed.
 func (t *headTable) zero(key int) {
-	if i, ok := t.index[key]; ok {
+	if i, ok := t.slot(key); ok {
 		t.vals[i] = 0
 		if t.prior != nil {
 			t.prior[i] = 0
@@ -121,7 +147,7 @@ func (t *headTable) seed(key int, count int64) {
 		t.prior = make([]int64, len(t.keys))
 	}
 	t.add(key, count)
-	i := t.index[key]
+	i, _ := t.slot(key)
 	t.prior[i] = t.vals[i]
 }
 

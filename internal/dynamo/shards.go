@@ -147,7 +147,8 @@ func (ss *ShardSet) SetTier2(c *Tier2Compiler) {
 }
 
 // Release reports a finished run's table behaviour back to the set: CLOCK
-// evictions from the run feed the pressure signal.
+// evictions from the run feed the pressure signal. NET and Static intern no
+// paths (PathEvictions reads 0), so only their head evictions count.
 func (ss *ShardSet) Release(tenant string, r Result) {
 	ev := r.HeadEvictions + r.PathEvictions
 	ss.mu.Lock()

@@ -98,8 +98,8 @@ func (s *System) Snapshot(tenant string) *snapshot.Snapshot {
 			snap.Heads = append(snap.Heads, snapshot.HeadCount{Addr: k, Count: v})
 		}
 	}
-	for start, fr := range s.cache {
-		if len(fr.Steps) == 0 {
+	for start, fr := range s.cache.frags {
+		if fr == nil || len(fr.Steps) == 0 {
 			continue
 		}
 		t := snapshot.Trace{Start: start, Flow: fr.Completions - fr.t2Base, Tier2: s.t2Decided(fr)}
@@ -225,10 +225,10 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 	})
 	var decided []*Fragment // installed with a persisted tier-2 decision
 	for _, t := range cl.Traces {
-		if len(s.cache) >= s.cfg.MaxFragments {
+		if s.cache.len() >= s.cfg.MaxFragments {
 			break
 		}
-		if t.Start >= nInstr || s.cache[t.Start] != nil || s.black.barred(t.Start) {
+		if t.Start >= nInstr || s.cache.get(t.Start) != nil || s.black.barred(t.Start) {
 			continue
 		}
 		steps := make([]dataflow.GuestStep, 0, len(t.Steps))
@@ -248,7 +248,7 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 			continue
 		}
 		s.emit(t.Start, steps)
-		fr := s.cache[t.Start]
+		fr := s.cache.get(t.Start)
 		if fr == nil {
 			continue
 		}
@@ -282,9 +282,7 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 				continue
 			}
 			id := s.interner.Intern(string(p.Key), p.Start, p.Branches)
-			for int(id) >= len(s.pathCounts) {
-				s.pathCounts = append(s.pathCounts, 0)
-			}
+			s.growPaths(id)
 			if p.Count > s.pathCounts[id] {
 				s.pathCounts[id] = p.Count
 			}

@@ -60,8 +60,8 @@ type fragImage struct {
 
 func cacheImage(s *System) []fragImage {
 	var out []fragImage
-	for start, fr := range s.cache {
-		img := fragImage{Start: start}
+	for _, fr := range resident(s) {
+		img := fragImage{Start: fr.Start}
 		for _, st := range fr.Steps {
 			img.Steps = append(img.Steps, snapshot.Step{PC: st.PC, Next: st.Next})
 		}
@@ -212,7 +212,7 @@ func TestTier2RestoredFlowIsNotEvidence(t *testing.T) {
 			t.Fatalf("Restore: %v", err)
 		}
 		var frs []*Fragment
-		for _, fr := range sys.cache {
+		for _, fr := range resident(sys) {
 			if fr.Completions != bigFlow {
 				t.Fatalf("fragment %d restored with %d completions, want the persisted flow %d",
 					fr.Start, fr.Completions, bigFlow)
@@ -360,7 +360,7 @@ func TestRestoreRespectsBlacklist(t *testing.T) {
 	if err := warm.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if warm.cache[victim] != nil {
+	if warm.cache.get(victim) != nil {
 		t.Error("blacklisted head's trace was installed anyway")
 	}
 	for i, k := range warm.heads.keys {

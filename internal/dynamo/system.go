@@ -104,8 +104,8 @@ type Config struct {
 	// MaxHeadCounters caps the NET head-counter table; the least recently
 	// hit head is CLOCK-evicted when it fills (0 = default, <0 = unbounded).
 	MaxHeadCounters int
-	// MaxPaths caps the path interner the same way (0 = default,
-	// <0 = unbounded).
+	// MaxPaths caps PathProfile's path interner the same way (0 = default,
+	// <0 = unbounded); NET and Static intern no paths.
 	MaxPaths int
 
 	// BlacklistBackoff is the base backoff after a recording abort: the
@@ -119,10 +119,11 @@ type Config struct {
 	// many aborted executions (0 = default, <0 = never).
 	DemoteAfterAborts int
 	// GovernorEvictLimit trips the resource governor — a generalized
-	// bail-out to native execution — when the two bounded tables evict more
+	// bail-out to native execution — when the bounded tables evict more
 	// than this many entries within one FlushWindow of path events
 	// (0 = default, <0 = disabled). Eviction thrash means the working set
-	// no longer fits the tables, so profiling is wasted work.
+	// no longer fits the tables, so profiling is wasted work. NET and
+	// Static have no path table, so only head evictions count for them.
 	GovernorEvictLimit int
 
 	// Tier2 enables background superblock compilation when non-nil: hot
@@ -280,7 +281,7 @@ type Result struct {
 	BlacklistSkips   int64  // selections suppressed by head backoff
 	BlacklistedHeads int    // heads permanently demoted to interpretation
 	HeadEvictions    int64  // head-counter CLOCK evictions
-	PathEvictions    int64  // path-interner slot recyclings
+	PathEvictions    int64  // path-interner slot recyclings (0 under NET and Static, which intern no paths)
 	Corruptions      int64  // injected counter corruptions absorbed
 	ForcedSelections int64  // injected spike selections honored
 	VMFault          string // machine fault that ended the run ("" = clean)
@@ -331,15 +332,16 @@ type System struct {
 
 	mode mode
 
-	// Interpreter-side state.
+	// Interpreter-side state. Only PathProfile has an interner; NET and
+	// Static track path boundaries without building signatures.
 	tracker  *path.Tracker
 	interner *path.Interner
 	skipping bool // PP: interpreting an unprofilable suffix
 	skipEnd  int  // resume address once a backward branch ends the skip
 
 	// Path completion relay from the tracker callback.
-	completed   bool
-	completedID path.ID
+	completed bool
+	done      path.Completed
 
 	// Trace recording (NET) and per-path capture (PathProfile) both keep
 	// the branch events of the path in flight in evs; emit expands them
@@ -354,7 +356,7 @@ type System struct {
 	heads      *headTable // NET head counters (bounded, CLOCK-evicted)
 	pathCounts []int64    // PathProfile, by path ID
 	pathPrior  []int64    // PathProfile, restored part of pathCounts (Restore only)
-	armed      map[path.ID]bool
+	armed      []bool     // PathProfile, by path ID: counted to τ, not yet emitted
 
 	// Degradation state.
 	inj         Injector // cfg.Chaos (nil = no injection)
@@ -386,7 +388,7 @@ type System struct {
 	preempt     atomic.Bool
 
 	// Cache.
-	cache map[int]*Fragment
+	cache fragCache
 	frag  *Fragment
 	fpos  int
 	opt   *Optimizer
@@ -405,7 +407,7 @@ type System struct {
 	windowEvents    int
 	windowCreations int
 	prevCreations   []int
-	everCached      map[int]bool
+	everCached      []bool // by guest address, like cache
 
 	// nativeRedirectCycles accumulates taken-branch penalties for
 	// instructions executed natively after bail-out.
@@ -477,6 +479,10 @@ func New(p *prog.Program, cfg Config) *System {
 		// holds a whole path, so the steady state never grows it.
 		s.evs = make([]branchRec, 0, cfg.MaxTraceBranches)
 	}
+	n := p.Len()
+	s.cache = newFragCache(n)
+	s.everCached = make([]bool, n+1)
+	s.heads = newHeadTable(cfg.MaxHeadCounters)
 	s.m.SetSink(s)
 	if h, ok := cfg.Chaos.(interface{ VMFault(*vm.Machine) error }); ok {
 		s.m.SetFaultHook(h.VMFault)
@@ -505,25 +511,27 @@ func (s *System) resetRunState() {
 	cfg := &s.cfg
 	s.res = Result{Program: s.m.Prog.Name, Scheme: cfg.Scheme, Tau: cfg.Tau}
 	s.mode = modeInterp
-	s.heads = newHeadTable(cfg.MaxHeadCounters)
+	s.heads.reset()
 	s.pathCounts = s.pathCounts[:0]
 	s.pathPrior = s.pathPrior[:0]
-	s.armed = make(map[path.ID]bool)
-	s.cache = make(map[int]*Fragment)
-	s.everCached = make(map[int]bool)
-	s.interner = path.NewInterner()
-	if cfg.MaxPaths > 0 {
-		// A recycled path slot belongs to a new path: forget the old
-		// path's count and arming so they are not inherited.
-		s.interner.SetCapacity(cfg.MaxPaths, func(id path.ID) {
-			if int(id) < len(s.pathCounts) {
-				s.pathCounts[id] = 0
-			}
-			if int(id) < len(s.pathPrior) {
-				s.pathPrior[id] = 0
-			}
-			delete(s.armed, id)
-		})
+	s.armed = s.armed[:0]
+	s.cache.clear()
+	clear(s.everCached)
+	if cfg.Scheme == SchemePathProfile {
+		s.interner = path.NewInterner()
+		if cfg.MaxPaths > 0 {
+			// A recycled path slot belongs to a new path: forget the old
+			// path's count and arming so they are not inherited.
+			s.interner.SetCapacity(cfg.MaxPaths, func(id path.ID) {
+				if int(id) < len(s.pathCounts) {
+					s.pathCounts[id] = 0
+					s.armed[id] = false
+				}
+				if int(id) < len(s.pathPrior) {
+					s.pathPrior[id] = 0
+				}
+			})
+		}
 	}
 	s.black = newBlacklist(cfg.BlacklistBackoff, cfg.BlacklistMaxAborts)
 	s.skipping = false
@@ -579,7 +587,7 @@ func (s *System) Machine() *vm.Machine { return s.m }
 // is where the interpreter has work to do, so the batched loop yields.
 func (s *System) onComplete(c path.Completed) {
 	s.completed = true
-	s.completedID = c.ID
+	s.done = c
 	s.m.Yield()
 }
 
@@ -720,7 +728,7 @@ func (s *System) finish() {
 		s.res.BuildCycles + s.res.TransCycles +
 		float64(s.res.NativeInstrs)*c.NativeInstr + s.nativeRedirectCycles
 	s.res.HeadEvictions = s.heads.evictions
-	s.res.PathEvictions = s.interner.Evictions()
+	s.res.PathEvictions = s.pathEvictions()
 	s.res.BlacklistSkips = s.black.skips
 	s.res.BlacklistedHeads = s.black.permanent()
 	s.syncTelemetry()
@@ -848,10 +856,10 @@ func (s *System) pathBoundary() {
 		return
 	}
 	s.completed = false
-	id := s.completedID
+	id := s.done.ID
 	s.res.PathEvents++
 	if s.tel != nil && s.res.PathEvents&telSampleMask == 0 {
-		s.tel.Observe(telPathLen, int64(s.interner.Info(id).Branches))
+		s.tel.Observe(telPathLen, int64(s.done.Branches))
 	}
 	s.onPathEvent()
 
@@ -871,8 +879,8 @@ func (s *System) pathBoundary() {
 			s.tel.Inc(telHeadPromotions)
 			s.tel.Observe(telPromoteCounter, s.cfg.Tau)
 		}
-		if s.armed[id] && s.cache[s.capStart] == nil && !s.capAborted && s.black.allow(s.capStart) {
-			delete(s.armed, id)
+		if s.armed[id] && s.cache.get(s.capStart) == nil && !s.capAborted && s.black.allow(s.capStart) {
+			s.armed[id] = false
 			steps := s.expand(s.capStart)
 			// Retroactive recording charge for the captured trace.
 			s.res.BuildCycles += c.RecordInstr * float64(len(steps))
@@ -891,9 +899,7 @@ func (s *System) pathBoundary() {
 // pathCount counts one execution of path id and reports whether this count
 // armed it (reached τ exactly).
 func (s *System) pathCount(id path.ID) bool {
-	for int(id) >= len(s.pathCounts) {
-		s.pathCounts = append(s.pathCounts, 0)
-	}
+	s.growPaths(id)
 	if s.pathCounts[id] < headCounterMax {
 		s.pathCounts[id]++
 	}
@@ -908,9 +914,7 @@ func (s *System) pathCount(id path.ID) bool {
 // the value saturates rather than wrapping, and a count pushed past τ arms
 // the path (prediction noise the system must tolerate, never a crash).
 func (s *System) corruptPathCount(id path.ID, delta int64) {
-	for int(id) >= len(s.pathCounts) {
-		s.pathCounts = append(s.pathCounts, 0)
-	}
+	s.growPaths(id)
 	v := s.pathCounts[id] + delta
 	if v < 0 {
 		v = 0
@@ -924,12 +928,30 @@ func (s *System) corruptPathCount(id path.ID, delta int64) {
 	}
 }
 
+// growPaths extends the per-path tables (pathCounts and armed, kept the
+// same length) to cover id.
+func (s *System) growPaths(id path.ID) {
+	for int(id) >= len(s.pathCounts) {
+		s.pathCounts = append(s.pathCounts, 0)
+		s.armed = append(s.armed, false)
+	}
+}
+
+// pathEvictions returns the path interner's slot recyclings; NET and Static
+// intern no paths and report none.
+func (s *System) pathEvictions() int64 {
+	if s.interner == nil {
+		return 0
+	}
+	return s.interner.Evictions()
+}
+
 // atPathStart handles the boundary where a new path begins at addr while in
 // the interpreter: enter the cache if a fragment exists, otherwise run the
 // scheme's head logic. (Fragment-side transitions go through leaveFragment.)
 func (s *System) atPathStart(addr int) {
 	c := &s.cfg.Costs
-	if fr := s.cache[addr]; fr != nil {
+	if fr := s.cache.get(addr); fr != nil {
 		s.res.TransCycles += c.FragEnter
 		s.res.FragEnters++
 		fr.Enters++
@@ -1019,10 +1041,10 @@ func (s *System) emit(start int, steps []dataflow.GuestStep) {
 		// recording, and a persistent rejection shows up in the counters.
 		return
 	}
-	if len(s.cache) >= s.cfg.MaxFragments {
+	if s.cache.len() >= s.cfg.MaxFragments {
 		s.flush()
 	}
-	s.cache[start] = fr
+	s.cache.put(start, fr)
 	s.res.Fragments++
 	s.event(trace.SpanFragEmit, telFragCreated, start, int64(len(steps)))
 	if s.tel != nil {
@@ -1035,8 +1057,8 @@ func (s *System) emit(start int, steps []dataflow.GuestStep) {
 }
 
 func (s *System) flush() {
-	resident := len(s.cache)
-	s.cache = make(map[int]*Fragment)
+	resident := s.cache.len()
+	s.cache.clear()
 	s.res.Flushes++
 	s.res.TransCycles += s.cfg.Costs.FlushCost
 	s.event(trace.SpanFlush, telFlushes, 0, int64(resident))
@@ -1080,7 +1102,7 @@ func (s *System) onPathEvent() {
 			// profiling effort is being wasted on churn — a generalized
 			// bail-out condition.
 			if s.cfg.GovernorEvictLimit > 0 && !s.res.BailedOut {
-				ev := s.heads.evictions + s.interner.Evictions()
+				ev := s.heads.evictions + s.pathEvictions()
 				if ev-s.evictsAtWin > int64(s.cfg.GovernorEvictLimit) {
 					s.bail("evict-thrash")
 				}
@@ -1107,7 +1129,7 @@ func (s *System) bail(reason string) {
 	s.res.BailStep = s.m.Steps
 	s.res.BailReason = reason
 	s.mode = modeNative
-	s.cache = make(map[int]*Fragment)
+	s.cache.clear()
 	s.recording = false
 	s.skipping = false
 	s.tr.End(s.selSpan)
@@ -1239,8 +1261,8 @@ func (s *System) stepFragmentSlow() error {
 			head := s.frag.Start
 			s.event(trace.SpanChaosInject, telFragAborts, head, chaosArgFragAbort)
 			if s.cfg.DemoteAfterAborts > 0 && s.frag.Aborts >= int64(s.cfg.DemoteAfterAborts) {
-				if s.cache[head] == s.frag {
-					delete(s.cache, head)
+				if s.cache.get(head) == s.frag {
+					s.cache.remove(head)
 				}
 				s.res.Demotions++
 				s.blacklistHead(head, -1)
@@ -1307,7 +1329,7 @@ func (s *System) leaveFragment(target int, completedPath bool) {
 	if s.mode == modeNative {
 		return
 	}
-	if fr := s.cache[target]; fr != nil && !s.cfg.DisableLinking {
+	if fr := s.cache.get(target); fr != nil && !s.cfg.DisableLinking {
 		s.res.TransCycles += c.LinkedJump
 		s.res.LinkedJumps++
 		fr.Enters++

@@ -67,7 +67,7 @@ var (
 	telHeadTableLen = telemetry.NewGauge("dynamo_head_table_len",
 		"live NET head counters (CLOCK-bounded)")
 	telPathTableLen = telemetry.NewGauge("dynamo_path_table_len",
-		"paths interned (CLOCK-bounded)")
+		"paths PathProfile interned (CLOCK-bounded; 0 under NET and Static)")
 	telCacheResident = telemetry.NewGauge("dynamo_cache_resident",
 		"fragments resident in the cache")
 )
@@ -166,8 +166,12 @@ func (s *System) syncTelemetry() {
 	delta(telLinkedJumps, s.res.LinkedJumps, &s.telLast.linkedJumps)
 	delta(telFragExits, s.res.FragExits, &s.telLast.fragExits)
 	s.tel.Set(telHeadTableLen, int64(s.heads.len()))
-	s.tel.Set(telPathTableLen, int64(s.interner.NumPaths()))
-	s.tel.Set(telCacheResident, int64(len(s.cache)))
+	paths := 0 // NET and Static intern no paths
+	if s.interner != nil {
+		paths = s.interner.NumPaths()
+	}
+	s.tel.Set(telPathTableLen, int64(paths))
+	s.tel.Set(telCacheResident, int64(s.cache.len()))
 }
 
 // telCycleMarks remembers the totals already exported (millicycles and

@@ -379,7 +379,7 @@ func (s *System) maybePromote(fr *Fragment) {
 // queue, with no evidence check: maybePromote calls it once this run has
 // proved fr hot, Restore for a persisted tier-2 decision.
 func (s *System) promote(fr *Fragment) {
-	if s.cache[fr.Start] != fr {
+	if s.cache.get(fr.Start) != fr {
 		return // flushed or superseded since entry; let it die
 	}
 	job := s.snapshotChain(fr)
@@ -435,7 +435,7 @@ func (s *System) snapshotChain(fr *Fragment) *t2Job {
 		if s.cfg.DisableLinking {
 			break
 		}
-		next := s.cache[cur.Steps[len(cur.Steps)-1].Next]
+		next := s.cache.get(cur.Steps[len(cur.Steps)-1].Next)
 		if next == nil {
 			break
 		}

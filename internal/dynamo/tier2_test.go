@@ -446,7 +446,7 @@ func TestTier2PromotionAllocs(t *testing.T) {
 		t.Fatalf("warm run: %v", err)
 	}
 	var fr *Fragment
-	for _, cand := range sys.cache {
+	for _, cand := range resident(sys) {
 		if cand.Completions > 0 && len(cand.Steps) > 0 {
 			fr = cand
 			break
@@ -507,7 +507,7 @@ func TestTier2DispatchAllocs(t *testing.T) {
 
 	var blk *t2Block
 	var fr *Fragment
-	for _, cand := range sys.cache {
+	for _, cand := range resident(sys) {
 		if b := cand.t2.Load(); b != nil && b.sb != nil {
 			fr, blk = cand, b
 			break

@@ -123,7 +123,7 @@ func (s *System) prebuildStatic(p *prog.Program) {
 			}
 			steps = append(steps, dataflow.GuestStep{PC: st.PC, In: in, Next: st.Next})
 		}
-		if len(steps) == 0 || s.cache[w.Head] != nil {
+		if len(steps) == 0 || s.cache.get(w.Head) != nil {
 			continue
 		}
 		s.emit(w.Head, steps)

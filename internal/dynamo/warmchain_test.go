@@ -177,22 +177,29 @@ func TestWarmCompletionRate(t *testing.T) {
 // it is forgotten when selection zeroes the counter or CLOCK recycles the
 // slot — from then on every count is the run's own.
 func TestHeadTablePrior(t *testing.T) {
+	slotOf := func(ht *headTable, key int) int {
+		i, ok := ht.slot(key)
+		if !ok {
+			t.Fatalf("head %d has no counter", key)
+		}
+		return i
+	}
 	ht := newHeadTable(0)
 	ht.seed(10, 40)
 	ht.add(10, 3)
-	if got := ht.observed(ht.index[10]); got != 3 {
+	if got := ht.observed(slotOf(ht, 10)); got != 3 {
 		t.Fatalf("observed after seed 40 + 3 hits = %d, want 3", got)
 	}
 	ht.zero(10)
 	ht.add(10, 5)
-	if got := ht.observed(ht.index[10]); got != 5 {
+	if got := ht.observed(slotOf(ht, 10)); got != 5 {
 		t.Fatalf("observed after selection + 5 hits = %d, want 5", got)
 	}
 
 	one := newHeadTable(1)
 	one.seed(10, 40)
 	one.add(30, 2) // recycles head 10's slot
-	if got := one.observed(one.index[30]); got != 2 {
+	if got := one.observed(slotOf(one, 30)); got != 2 {
 		t.Fatalf("observed in a recycled slot = %d, want 2 (the evicted head's prior leaked)", got)
 	}
 

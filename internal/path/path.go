@@ -231,16 +231,23 @@ func (it *Interner) UniqueHeads() int {
 	return len(heads)
 }
 
-// Completed reports one finished path execution.
+// Completed reports one finished path execution. ID is None when the
+// tracker tracks boundaries only.
 type Completed struct {
-	ID     ID
-	Reason EndReason
+	ID       ID
+	Reason   EndReason
+	Branches int // control-transfer events on the path
 }
 
 // Tracker folds the VM branch event stream into a stream of completed
 // interprocedural forward paths. It implements exactly the path definition
 // above: signatures accumulate conditional outcomes and indirect targets;
 // backward taken branches, matched returns and the branch cap terminate.
+//
+// A Tracker with a nil interner tracks boundaries only: it applies the same
+// termination rules but builds no signature and interns nothing, so its
+// completions carry ID None. NET needs no more than that: it counts path
+// heads, never paths.
 type Tracker struct {
 	MaxBranches int
 
@@ -254,8 +261,9 @@ type Tracker struct {
 	active   bool
 }
 
-// NewTracker creates a tracker that interns into it and reports completed
-// paths to onComplete. The first path starts at startAddr (program entry).
+// NewTracker creates a tracker that interns into it (nil: boundaries only)
+// and reports completed paths to onComplete. The first path starts at
+// startAddr (program entry).
 func NewTracker(it *Interner, startAddr int, onComplete func(Completed)) *Tracker {
 	t := &Tracker{MaxBranches: DefaultMaxBranches, interner: it, onComplete: onComplete}
 	t.reset(startAddr)
@@ -272,7 +280,9 @@ func (t *Tracker) CurrentStart() int { return t.start }
 func (t *Tracker) CurrentBranches() int { return t.branches }
 
 func (t *Tracker) reset(start int) {
-	t.sig.Reset(start)
+	if t.interner != nil {
+		t.sig.Reset(start)
+	}
 	t.start = start
 	t.branches = 0
 	t.depth = 0
@@ -280,28 +290,35 @@ func (t *Tracker) reset(start int) {
 }
 
 func (t *Tracker) complete(reason EndReason, nextStart int) {
-	// InternBytes probes with the live signature buffer: completing an
-	// already-known path (the steady state of every loop) allocates nothing.
-	id := t.interner.InternBytes(t.sig.Bytes(), t.start, t.branches)
+	id := None
+	if t.interner != nil {
+		// InternBytes probes with the live signature buffer: completing an
+		// already-known path (the steady state of every loop) allocates
+		// nothing.
+		id = t.interner.InternBytes(t.sig.Bytes(), t.start, t.branches)
+	}
 	if t.onComplete != nil {
-		t.onComplete(Completed{ID: id, Reason: reason})
+		t.onComplete(Completed{ID: id, Reason: reason, Branches: t.branches})
 	}
 	t.reset(nextStart)
 }
 
 // OnBranch consumes one branch event. It records the event into the current
-// signature and terminates the path when the paper's rules say so.
+// signature (unless tracking boundaries only) and terminates the path when
+// the paper's rules say so.
 func (t *Tracker) OnBranch(ev vm.BranchEvent) {
 	if !t.active {
 		t.reset(ev.Target)
 		return
 	}
-	// Record the event into the signature.
-	switch ev.Kind {
-	case isa.KindCond:
-		t.sig.CondBit(ev.Taken)
-	case isa.KindIndirect, isa.KindCallInd:
-		t.sig.Indirect(ev.Target)
+	if t.interner != nil {
+		// Record the event into the signature.
+		switch ev.Kind {
+		case isa.KindCond:
+			t.sig.CondBit(ev.Taken)
+		case isa.KindIndirect, isa.KindCallInd:
+			t.sig.Indirect(ev.Target)
+		}
 	}
 	t.branches++
 
