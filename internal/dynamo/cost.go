@@ -6,10 +6,14 @@
 // other, and heuristics flush the cache on phase changes or bail out to
 // native execution when the program defeats trace caching.
 //
-// Performance is modelled with an explicit cycle cost model rather than
-// wall-clock time: the real system's speedups and slowdowns come from the
-// relative weights of interpretation, per-branch profiling work, and
+// A run only counts events: interpreted instructions, head-counter hits,
+// bit shifts, path-table updates, recorded and optimized instructions,
+// fragment instructions, transitions, and flushes. Cycles are a price on
+// those counts, set once at the end of the run by CostModel.Price, and no
+// decision reads them. The real system's speedups and slowdowns come from
+// the relative weights of interpretation, per-branch profiling work, and
 // optimized fragment execution, and those are exactly the model's terms.
+// Measured wall-clock time lives in the repository benchmark (bench/).
 package dynamo
 
 // CostModel assigns cycle costs to the events of the simulation. All values
@@ -82,4 +86,23 @@ func DefaultCosts() CostModel {
 		LinkedJump:      1.0,
 		FlushCost:       10_000.0,
 	}
+}
+
+// Price fills r's cycle fields from its event counts, one term per count.
+// Every field is assigned, so pricing the same Result twice is harmless.
+func (c CostModel) Price(r *Result) {
+	r.NativeCycles = float64(r.Steps)*c.NativeInstr + float64(r.Redirects)*c.TakenPenalty
+	r.InterpCycles = float64(r.InterpInstrs) * c.InterpInstr
+	r.FragCycles = float64(r.FragInstrs-r.ElimInstrs) * c.FragInstr
+	r.ProfileCycles = float64(r.HeadCounterHits)*c.HeadCounter +
+		float64(r.BitShifts)*c.BitShift +
+		float64(r.IndAppends)*c.IndAppend +
+		float64(r.PathTableUpdates)*c.PathTableUpdate
+	r.BuildCycles = float64(r.RecordedInstrs)*c.RecordInstr + float64(r.OptimizedInstrs)*c.OptimizeInstr
+	r.TransCycles = float64(r.FragEnters)*c.FragEnter +
+		float64(r.FragExits)*c.FragExit +
+		float64(r.LinkedJumps)*c.LinkedJump +
+		float64(r.Flushes)*c.FlushCost
+	r.Cycles = r.InterpCycles + r.FragCycles + r.ProfileCycles + r.BuildCycles + r.TransCycles +
+		float64(r.NativeInstrs)*c.NativeInstr + float64(r.NativeRedirects)*c.TakenPenalty
 }

@@ -1,6 +1,7 @@
 package dynamo
 
 import (
+	"fmt"
 	"testing"
 
 	"netpath/internal/isa"
@@ -95,20 +96,43 @@ func TestSemanticsPreservedOnWorkloads(t *testing.T) {
 }
 
 func TestCycleAccountingConsistent(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeNET, SchemePathProfile} {
-		res, err := New(hotLoop(20_000), DefaultConfig(scheme, 50)).Run()
+	li, err := workload.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := li.Build(0.05) // bails out (low-reuse) under PathProfile
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := DefaultCosts()
+	for _, tc := range []struct {
+		p       *prog.Program
+		scheme  Scheme
+		bailout bool
+	}{
+		{hotLoop(20_000), SchemeNET, false},
+		{hotLoop(20_000), SchemePathProfile, false},
+		{flat, SchemePathProfile, true},
+	} {
+		res, err := New(tc.p, DefaultConfig(tc.scheme, 50)).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := res.InterpCycles + res.FragCycles + res.ProfileCycles + res.BuildCycles + res.TransCycles
-		if res.Cycles < sum-0.5 || res.NativeInstrs == 0 && res.Cycles > sum+0.5 {
-			t.Errorf("%v: Cycles %.0f != component sum %.0f", scheme, res.Cycles, sum)
+		tag := fmt.Sprintf("%s/%v", tc.p.Name, tc.scheme)
+		if res.BailedOut != tc.bailout || tc.bailout && (res.NativeInstrs == 0 || res.NativeRedirects == 0) {
+			t.Fatalf("%s: bailed out %v (native %d instrs, %d redirects), want %v",
+				tag, res.BailedOut, res.NativeInstrs, res.NativeRedirects, tc.bailout)
+		}
+		sum := res.InterpCycles + res.FragCycles + res.ProfileCycles + res.BuildCycles + res.TransCycles +
+			float64(res.NativeInstrs)*c.NativeInstr + float64(res.NativeRedirects)*c.TakenPenalty
+		if res.Cycles != sum {
+			t.Errorf("%s: Cycles %.0f != component sum %.0f", tag, res.Cycles, sum)
 		}
 		if got := res.InterpInstrs + res.FragInstrs + res.NativeInstrs; got != res.Steps {
-			t.Errorf("%v: instruction modes sum %d != steps %d", scheme, got, res.Steps)
+			t.Errorf("%s: instruction modes sum %d != steps %d", tag, got, res.Steps)
 		}
-		if res.NativeCycles <= 0 {
-			t.Error("native baseline not computed")
+		if want := float64(res.Steps)*c.NativeInstr + float64(res.Redirects)*c.TakenPenalty; res.NativeCycles != want || want <= 0 {
+			t.Errorf("%s: NativeCycles %.0f, want %.0f", tag, res.NativeCycles, want)
 		}
 	}
 }

@@ -89,7 +89,7 @@ func TestLinkedTransferCompletionAndEarlyExit(t *testing.T) {
 	if res.LinkedJumps == 0 {
 		t.Fatal("dominant loop must take linked jumps")
 	}
-	transIdentity(t, "hotloop", res, cfg.Costs)
+	transIdentity(t, "hotloop", res, DefaultCosts())
 
 	var completions, earlyExits, enters int64
 	for _, fr := range resident(sys) {
@@ -124,8 +124,8 @@ func TestLinkingAblationContrast(t *testing.T) {
 
 	resOn := checkSemantics(t, p, on)
 	resOff := checkSemantics(t, p, off)
-	transIdentity(t, "link-on", resOn, on.Costs)
-	transIdentity(t, "link-off", resOff, off.Costs)
+	transIdentity(t, "link-on", resOn, DefaultCosts())
+	transIdentity(t, "link-off", resOff, DefaultCosts())
 	if resOn.LinkedJumps == 0 {
 		t.Error("linking on: no linked jumps on a loop nest")
 	}
@@ -157,7 +157,7 @@ func TestDemotionAfterAbortLandsInterp(t *testing.T) {
 	if res.FragInstrs != 0 {
 		t.Errorf("every fragment entry aborts before executing, yet FragInstrs = %d", res.FragInstrs)
 	}
-	transIdentity(t, "demotion", res, cfg.Costs)
+	transIdentity(t, "demotion", res, DefaultCosts())
 }
 
 // alwaysAbortFragments aborts every fragment execution and nothing else.
@@ -186,7 +186,7 @@ func TestCacheEvictionFlushKeepsIdentity(t *testing.T) {
 	if res.LinkedJumps == 0 {
 		t.Error("linking must still occur between flushes")
 	}
-	transIdentity(t, "eviction", res, cfg.Costs)
+	transIdentity(t, "eviction", res, DefaultCosts())
 }
 
 // TestFragmentSteppersEquivalent runs each program and config on the

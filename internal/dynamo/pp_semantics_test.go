@@ -139,7 +139,7 @@ func TestPPProfileChargesPerBranch(t *testing.T) {
 		if err == nil || res.VMFault == "" {
 			t.Fatalf("hook %v: run did not fault: %v", hook, err)
 		}
-		c := cfg.Costs
+		c := DefaultCosts()
 		want := 5*c.BitShift + 4*c.PathTableUpdate + c.IndAppend
 		if res.ProfileCycles != want || res.PathEvents != 4 {
 			t.Errorf("hook %v: ProfileCycles %v over %d paths, want %v over 4", hook, res.ProfileCycles, res.PathEvents, want)

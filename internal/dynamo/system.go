@@ -54,14 +54,10 @@ type Config struct {
 	Scheme Scheme
 	// Tau is the prediction delay (10/50/100 in Figure 5).
 	Tau int64
-	// Costs is the cycle model; zero value means DefaultCosts.
-	Costs CostModel
 
 	// MaxFragments is the fragment-cache capacity; filling it triggers a
 	// full cache flush (Dynamo flushes rather than evicts).
 	MaxFragments int
-	// MaxTraceBranches caps recorded trace length in control transfers.
-	MaxTraceBranches int
 
 	// FlushWindow is the phase-detection window in path completions; a
 	// window whose fragment-creation count exceeds FlushSpike times the
@@ -70,14 +66,12 @@ type Config struct {
 	FlushSpike  float64
 
 	// BailoutAfter is the period, in path completions, of the bail-out
-	// check: if less than BailoutMinCached of executed instructions ran
-	// from the fragment cache, or more than BailoutFragBudget fragments
+	// check: if less than bailoutMinCached of executed instructions ran
+	// from the fragment cache, or more than bailoutFragBudget fragments
 	// have been created (a program with excessively many dynamic paths and
 	// no dominant reuse), Dynamo gives up and the rest of the program runs
 	// native (Section 6: gcc, go et al. bail out).
-	BailoutAfter      int64
-	BailoutMinCached  float64
-	BailoutFragBudget int
+	BailoutAfter int64
 
 	// MaxSteps bounds the run (0 = unlimited); exceeding it ends the run
 	// with an error wrapping vm.ErrStepLimit.
@@ -108,13 +102,6 @@ type Config struct {
 	// <0 = unbounded); NET and Static intern no paths.
 	MaxPaths int
 
-	// BlacklistBackoff is the base backoff after a recording abort: the
-	// head's next BlacklistBackoff·2^(aborts-1) selections are suppressed
-	// before recording is retried (0 = default).
-	BlacklistBackoff int64
-	// BlacklistMaxAborts permanently demotes a head to interpretation after
-	// that many recording aborts (0 = default, <0 = never).
-	BlacklistMaxAborts int
 	// DemoteAfterAborts evicts a fragment back to interpretation after that
 	// many aborted executions (0 = default, <0 = never).
 	DemoteAfterAborts int
@@ -134,9 +121,6 @@ type Config struct {
 	// Tier2Threshold is the completion count that promotes a fragment to
 	// tier 2 (0 = default 16).
 	Tier2Threshold int64
-	// Tier2MaxGuest caps a superblock's guest length across linked
-	// fragments (0 = default 4096).
-	Tier2MaxGuest int
 	// Tier2MinFlow gates promotion on path-flow dominance: a fragment is
 	// compiled only once it carries at least 1/Tier2MinFlow of the run's
 	// path events. Lukewarm fragments are never worth a compile — on a
@@ -182,24 +166,28 @@ type Config struct {
 	ProbeEvery int
 }
 
+// Policy constants no caller varies: the bail-out check's thresholds (see
+// Config.BailoutAfter) and the recording blacklist's base backoff and abort
+// limit (see blacklist).
+const (
+	bailoutMinCached   = 0.80
+	bailoutFragBudget  = 200
+	blacklistBackoff   = 2
+	blacklistMaxAborts = 5
+)
+
 // DefaultConfig returns the configuration used for Figure 5.
 func DefaultConfig(scheme Scheme, tau int64) Config {
 	return Config{
-		Scheme:            scheme,
-		Tau:               tau,
-		Costs:             DefaultCosts(),
-		MaxFragments:      8192,
-		MaxTraceBranches:  path.DefaultMaxBranches,
-		FlushWindow:       20_000,
-		FlushSpike:        6.0,
-		BailoutAfter:      60_000,
-		BailoutMinCached:  0.80,
-		BailoutFragBudget: 200,
+		Scheme:       scheme,
+		Tau:          tau,
+		MaxFragments: 8192,
+		FlushWindow:  20_000,
+		FlushSpike:   6.0,
+		BailoutAfter: 60_000,
 
 		MaxHeadCounters:    1 << 16,
 		MaxPaths:           1 << 18,
-		BlacklistBackoff:   2,
-		BlacklistMaxAborts: 5,
 		DemoteAfterAborts:  3,
 		GovernorEvictLimit: 4096,
 	}
@@ -216,7 +204,9 @@ type Result struct {
 	Steps     int64
 	Redirects int64 // control transfers that did not fall through
 
-	// Cycle accounting.
+	// Cycle accounting: a price on the event counts below, set once by
+	// CostModel.Price when the run ends (DefaultCosts). No decision reads
+	// these fields.
 	NativeCycles  float64 // Steps*NativeInstr + Redirects*TakenPenalty
 	Cycles        float64 // total simulated Dynamo cycles
 	InterpCycles  float64
@@ -226,18 +216,28 @@ type Result struct {
 	TransCycles   float64 // fragment enter/exit/link + flushes
 
 	// Volume counters.
-	InterpInstrs int64
-	NativeInstrs int64 // instructions run native after bail-out
-	FragInstrs   int64
-	ElimInstrs   int64 // fragment instructions optimized away
-	PathEvents   int64
-	CacheEvents  int64 // path events completed inside the fragment cache
+	InterpInstrs    int64
+	NativeInstrs    int64 // instructions run native after bail-out
+	NativeRedirects int64 // taken transfers among NativeInstrs
+	FragInstrs      int64
+	ElimInstrs      int64 // fragment instructions optimized away
+	PathEvents      int64
+	CacheEvents     int64 // path events completed inside the fragment cache
 
 	Fragments   int // fragments created (across flushes)
 	Flushes     int
 	FragEnters  int64
 	LinkedJumps int64
 	FragExits   int64
+
+	// Profiling and trace-building counts, each named after the CostModel
+	// term that prices it.
+	HeadCounterHits  int64 // NET head-counter observations at interpreted path starts
+	BitShifts        int64 // PathProfile conditional-branch history shifts
+	IndAppends       int64 // PathProfile indirect-branch signature appends
+	PathTableUpdates int64 // PathProfile path-table updates, one per interpreted path
+	RecordedInstrs   int64 // instructions recorded into traces (NET live, PathProfile at emit)
+	OptimizedInstrs  int64 // trace instructions handed to the optimizer
 
 	BailedOut bool
 	BailStep  int64
@@ -345,8 +345,8 @@ type System struct {
 
 	// Trace recording (NET) and per-path capture (PathProfile) both keep
 	// the branch events of the path in flight in evs; emit expands them
-	// into guest steps. A path ends within MaxTraceBranches events, so the
-	// buffer allocated in New never grows.
+	// into guest steps. A path ends within path.DefaultMaxBranches events,
+	// so the buffer allocated in New never grows.
 	recording bool
 	recStart  int
 	capStart  int
@@ -397,7 +397,6 @@ type System struct {
 	// dispatch-loop checks are single field loads.
 	t2c         *Tier2Compiler
 	t2Threshold int64
-	t2MaxGuest  int
 	t2MinFlow   int64
 
 	// Flush heuristic. Only fragments at addresses never cached before
@@ -408,10 +407,6 @@ type System struct {
 	windowCreations int
 	prevCreations   []int
 	everCached      []bool // by guest address, like cache
-
-	// nativeRedirectCycles accumulates taken-branch penalties for
-	// instructions executed natively after bail-out.
-	nativeRedirectCycles float64
 }
 
 // branchRec is one captured branch event: the control instruction's
@@ -422,26 +417,14 @@ type branchRec struct {
 
 // New creates a mini-Dynamo for program p.
 func New(p *prog.Program, cfg Config) *System {
-	if cfg.Costs == (CostModel{}) {
-		cfg.Costs = DefaultCosts()
-	}
 	if cfg.MaxFragments <= 0 {
 		cfg.MaxFragments = 8192
-	}
-	if cfg.MaxTraceBranches <= 0 {
-		cfg.MaxTraceBranches = path.DefaultMaxBranches
 	}
 	if cfg.MaxHeadCounters == 0 {
 		cfg.MaxHeadCounters = 1 << 16
 	}
 	if cfg.MaxPaths == 0 {
 		cfg.MaxPaths = 1 << 18
-	}
-	if cfg.BlacklistBackoff <= 0 {
-		cfg.BlacklistBackoff = 2
-	}
-	if cfg.BlacklistMaxAborts == 0 {
-		cfg.BlacklistMaxAborts = 5
 	}
 	if cfg.DemoteAfterAborts == 0 {
 		cfg.DemoteAfterAborts = 3
@@ -451,9 +434,6 @@ func New(p *prog.Program, cfg Config) *System {
 	}
 	if cfg.Tier2Threshold <= 0 {
 		cfg.Tier2Threshold = 16
-	}
-	if cfg.Tier2MaxGuest <= 0 {
-		cfg.Tier2MaxGuest = 4096
 	}
 	if cfg.Tier2MinFlow <= 0 {
 		cfg.Tier2MinFlow = 64
@@ -468,7 +448,6 @@ func New(p *prog.Program, cfg Config) *System {
 		trParent:    cfg.TraceParent,
 		t2c:         cfg.Tier2,
 		t2Threshold: cfg.Tier2Threshold,
-		t2MaxGuest:  cfg.Tier2MaxGuest,
 		t2MinFlow:   cfg.Tier2MinFlow,
 	}
 	if cfg.DisableOptimizer {
@@ -477,7 +456,7 @@ func New(p *prog.Program, cfg Config) *System {
 	if cfg.Scheme != SchemeStatic {
 		// The event buffer is reused across paths ([:0] truncation) and
 		// holds a whole path, so the steady state never grows it.
-		s.evs = make([]branchRec, 0, cfg.MaxTraceBranches)
+		s.evs = make([]branchRec, 0, path.DefaultMaxBranches)
 	}
 	n := p.Len()
 	s.cache = newFragCache(n)
@@ -533,7 +512,7 @@ func (s *System) resetRunState() {
 			})
 		}
 	}
-	s.black = newBlacklist(cfg.BlacklistBackoff, cfg.BlacklistMaxAborts)
+	s.black = newBlacklist(blacklistBackoff, blacklistMaxAborts)
 	s.skipping = false
 	s.skipEnd = -1
 	s.completed = false
@@ -546,13 +525,11 @@ func (s *System) resetRunState() {
 	s.windowEvents = 0
 	s.windowCreations = 0
 	s.prevCreations = s.prevCreations[:0]
-	s.nativeRedirectCycles = 0
 	s.telLast = telCycleMarks{}
 	s.selSpan = trace.NoSpan
 	s.hasDeadline = false
 	s.preempt.Store(false)
 	s.tracker = path.NewTracker(s.interner, s.m.PC, s.onComplete)
-	s.tracker.MaxBranches = cfg.MaxTraceBranches
 	if s.verifyErr != nil {
 		if s.tel != nil {
 			s.tel.Inc(telVerifyRejects)
@@ -594,7 +571,7 @@ func (s *System) onComplete(c path.Completed) {
 // OnBranch implements vm.Sink; it is the machine's event callback, not part
 // of the System API. While interpreting it is the whole of the scheme's
 // per-branch work: the event is captured for a trace that may be emitted,
-// PathProfile pays its bit shift or indirect append, and the tracker
+// PathProfile counts its bit shift or indirect append, and the tracker
 // extends the path.
 func (s *System) OnBranch(ev vm.BranchEvent) {
 	if ev.Target != ev.PC+1 {
@@ -614,23 +591,22 @@ func (s *System) OnBranch(ev vm.BranchEvent) {
 	if s.recording || s.cfg.Scheme == SchemePathProfile {
 		s.evs = append(s.evs, branchRec{int32(ev.PC), int32(ev.Target)})
 		if s.cfg.Scheme == SchemePathProfile {
-			s.res.ProfileCycles += s.profileCost(ev.Kind)
+			s.countProfileOp(ev.Kind)
 		}
 	}
 	s.tracker.OnBranch(ev)
 }
 
-// profileCost is PathProfile's per-branch profiling charge for a transfer
-// of kind k: a history bit shift for a conditional branch, a signature
-// append for an indirect one.
-func (s *System) profileCost(k isa.BranchKind) float64 {
+// countProfileOp counts PathProfile's per-branch profiling work for a
+// transfer of kind k: a history bit shift for a conditional branch, a
+// signature append for an indirect one.
+func (s *System) countProfileOp(k isa.BranchKind) {
 	switch k {
 	case isa.KindCond:
-		return s.cfg.Costs.BitShift
+		s.res.BitShifts++
 	case isa.KindIndirect, isa.KindCallInd:
-		return s.cfg.Costs.IndAppend
+		s.res.IndAppends++
 	}
-	return 0
 }
 
 // DeadlineError reports a run stopped by its context: the wall-clock
@@ -719,14 +695,10 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	return s.res, nil
 }
 
-// finish folds the cycle accounting into the result.
+// finish settles the result: final counts, then their price in cycles.
 func (s *System) finish() {
 	s.res.Steps = s.m.Steps
-	c := s.cfg.Costs
-	s.res.NativeCycles = float64(s.res.Steps)*c.NativeInstr + float64(s.res.Redirects)*c.TakenPenalty
-	s.res.Cycles = s.res.InterpCycles + s.res.FragCycles + s.res.ProfileCycles +
-		s.res.BuildCycles + s.res.TransCycles +
-		float64(s.res.NativeInstrs)*c.NativeInstr + s.nativeRedirectCycles
+	DefaultCosts().Price(&s.res)
 	s.res.HeadEvictions = s.heads.evictions
 	s.res.PathEvictions = s.pathEvictions()
 	s.res.BlacklistSkips = s.black.skips
@@ -736,7 +708,7 @@ func (s *System) finish() {
 
 // runInterp interprets on the batched loop until the tracker completes a
 // path, a PathProfile skip ends, or the machine halts, faults or reaches
-// the step budget, then settles the per-instruction charges for the whole
+// the step budget, then settles the per-instruction counts for the whole
 // batch and handles the boundary.
 func (s *System) runInterp() error {
 	m := s.m
@@ -748,34 +720,32 @@ func (s *System) runInterp() error {
 	n := m.Steps - steps
 	if err != nil {
 		if f, ok := err.(*vm.Fault); ok && f.Kind == vm.FaultBadRegister {
-			n++ // dispatched and charged, but not counted as a machine step
+			n++ // dispatched and counted, but not as a machine step
 		}
-		s.chargeInterp(n)
-		s.chargeFaultedBranch(err)
+		s.countInterp(n)
+		s.countFaultedBranch(err)
 		return err
 	}
-	s.chargeInterp(n)
+	s.countInterp(n)
 	s.pathBoundary()
 	return nil
 }
 
-// chargeInterp charges n interpreted instructions: dispatch, plus the
-// recording cost while a NET trace is being recorded. Recording starts and
-// stops only at path boundaries, so it holds for a whole batch.
-func (s *System) chargeInterp(n int64) {
-	c := &s.cfg.Costs
+// countInterp counts n interpreted instructions, and the same n as
+// recorded while a NET trace is being recorded. Recording starts and stops
+// only at path boundaries, so it holds for a whole batch.
+func (s *System) countInterp(n int64) {
 	s.res.InterpInstrs += n
-	s.res.InterpCycles += float64(n) * c.InterpInstr
 	if s.recording {
-		s.res.BuildCycles += float64(n) * c.RecordInstr
+		s.res.RecordedInstrs += n
 	}
 }
 
-// chargeFaultedBranch charges PathProfile's per-branch cost for a branch
-// that faulted before delivering its event (OnBranch charges the rest): a
+// countFaultedBranch counts PathProfile's per-branch work for a branch
+// that faulted before delivering its event (OnBranch counts the rest): a
 // dispatched branch pays for profiling whether or not it completes. Only
 // an out-of-range transfer faults after its event.
-func (s *System) chargeFaultedBranch(err error) {
+func (s *System) countFaultedBranch(err error) {
 	if s.cfg.Scheme != SchemePathProfile || s.skipping || s.mode != modeInterp {
 		return
 	}
@@ -784,7 +754,7 @@ func (s *System) chargeFaultedBranch(err error) {
 		return
 	}
 	if k, ok := isa.KindOf(s.m.Prog.Instrs[s.m.PC].Op); ok {
-		s.res.ProfileCycles += s.profileCost(k)
+		s.countProfileOp(k)
 	}
 }
 
@@ -799,14 +769,14 @@ func (s *System) stepInterp() error {
 		}
 		s.res.NativeInstrs++
 		if s.m.PC != pc+1 && !s.m.Halted {
-			s.nativeRedirectCycles += s.cfg.Costs.TakenPenalty
+			s.res.NativeRedirects++
 		}
 		return nil
 	}
 
-	s.chargeInterp(1)
+	s.countInterp(1)
 	if err := s.m.Step(); err != nil {
-		s.chargeFaultedBranch(err)
+		s.countFaultedBranch(err)
 		return err
 	}
 
@@ -864,8 +834,7 @@ func (s *System) pathBoundary() {
 	s.onPathEvent()
 
 	if s.cfg.Scheme == SchemePathProfile {
-		c := &s.cfg.Costs
-		s.res.ProfileCycles += c.PathTableUpdate
+		s.res.PathTableUpdates++
 		if s.inj != nil {
 			if d, ok := s.inj.CorruptCounter(s.m.Steps); ok {
 				s.corruptPathCount(id, d)
@@ -882,8 +851,8 @@ func (s *System) pathBoundary() {
 		if s.armed[id] && s.cache.get(s.capStart) == nil && !s.capAborted && s.black.allow(s.capStart) {
 			s.armed[id] = false
 			steps := s.expand(s.capStart)
-			// Retroactive recording charge for the captured trace.
-			s.res.BuildCycles += c.RecordInstr * float64(len(steps))
+			// The captured trace counts as recorded retroactively.
+			s.res.RecordedInstrs += int64(len(steps))
 			s.emit(s.capStart, steps)
 		}
 	}
@@ -950,9 +919,7 @@ func (s *System) pathEvictions() int64 {
 // the interpreter: enter the cache if a fragment exists, otherwise run the
 // scheme's head logic. (Fragment-side transitions go through leaveFragment.)
 func (s *System) atPathStart(addr int) {
-	c := &s.cfg.Costs
 	if fr := s.cache.get(addr); fr != nil {
-		s.res.TransCycles += c.FragEnter
 		s.res.FragEnters++
 		fr.Enters++
 		s.mode = modeFragment
@@ -963,7 +930,7 @@ func (s *System) atPathStart(addr int) {
 	// Interpreting from addr: reset the scheme's per-path state.
 	switch s.cfg.Scheme {
 	case SchemeNET:
-		s.res.ProfileCycles += c.HeadCounter
+		s.res.HeadCounterHits++
 		if s.inj != nil {
 			if d, ok := s.inj.CorruptCounter(s.m.Steps); ok {
 				s.heads.add(addr, d)
@@ -1030,8 +997,7 @@ func (s *System) emit(start int, steps []dataflow.GuestStep) {
 	if len(steps) == 0 || s.mode == modeNative {
 		return
 	}
-	c := &s.cfg.Costs
-	s.res.BuildCycles += c.OptimizeInstr * float64(len(steps))
+	s.res.OptimizedInstrs += int64(len(steps))
 	fr := s.opt.Optimize(start, steps)
 	if s.cfg.ValidateEmits && !s.validateEmit(fr) {
 		// The optimizer produced a fragment the validator cannot prove
@@ -1060,7 +1026,6 @@ func (s *System) flush() {
 	resident := s.cache.len()
 	s.cache.clear()
 	s.res.Flushes++
-	s.res.TransCycles += s.cfg.Costs.FlushCost
 	s.event(trace.SpanFlush, telFlushes, 0, int64(resident))
 }
 
@@ -1111,8 +1076,8 @@ func (s *System) onPathEvent() {
 		}
 	}
 	if s.cfg.BailoutAfter > 0 && !s.res.BailedOut && s.res.PathEvents%s.cfg.BailoutAfter == 0 {
-		lowReuse := s.res.CachedFraction() < s.cfg.BailoutMinCached
-		tooManyPaths := s.cfg.BailoutFragBudget > 0 && s.res.Fragments > s.cfg.BailoutFragBudget
+		lowReuse := s.res.CachedFraction() < bailoutMinCached
+		tooManyPaths := s.res.Fragments > bailoutFragBudget
 		switch {
 		case lowReuse:
 			s.bail("low-reuse")
@@ -1227,9 +1192,9 @@ func (s *System) runFragment() error {
 	}
 }
 
-// accountFrag settles cycle accounting for the straight run Steps[from:to)
-// of fr in one shot, with the eliminated count from the lowered trace's
-// prefix counts rather than a per-step branch.
+// accountFrag settles the counts for the straight run Steps[from:to) of fr
+// in one shot, with the eliminated count from the lowered trace's prefix
+// counts rather than a per-step branch.
 func (s *System) accountFrag(fr *Fragment, from, to int) {
 	if to <= from {
 		return
@@ -1238,15 +1203,12 @@ func (s *System) accountFrag(fr *Fragment, from, to int) {
 	elim := int64(fr.elidedBefore(to) - fr.elidedBefore(from))
 	s.res.FragInstrs += n
 	s.res.ElimInstrs += elim
-	s.res.FragCycles += float64(n-elim) * s.cfg.Costs.FragInstr
 }
 
 // stepFragmentSlow is the chaos slow path: one fragment step per call, with
 // injected-fault polling. Installed only when an injector or fault hook is
 // active — the fast loop above carries none of these branches.
 func (s *System) stepFragmentSlow() error {
-	c := &s.cfg.Costs
-
 	// Injected fragment fault: fall back to the interpreter at the current
 	// PC (the machine state is untouched, so execution stays semantically
 	// identical); a fragment that keeps faulting is demoted — evicted from
@@ -1268,7 +1230,6 @@ func (s *System) stepFragmentSlow() error {
 				s.blacklistHead(head, -1)
 				s.event(trace.SpanFragDemote, telDemotions, head, s.frag.Aborts)
 			}
-			s.res.TransCycles += c.FragExit
 			s.res.FragExits++
 			s.mode = modeInterp
 			s.tracker.Restart(s.m.PC)
@@ -1289,9 +1250,7 @@ func (s *System) stepFragmentSlow() error {
 	if err := s.m.Step(); err != nil {
 		return err
 	}
-	if !st.Eliminated {
-		s.res.FragCycles += c.FragInstr
-	} else {
+	if st.Eliminated {
 		s.res.ElimInstrs++
 	}
 	s.res.FragInstrs++
@@ -1325,19 +1284,16 @@ func (s *System) stepFragmentSlow() error {
 
 // leaveFragment transfers control out of the current fragment to target.
 func (s *System) leaveFragment(target int, completedPath bool) {
-	c := &s.cfg.Costs
 	if s.mode == modeNative {
 		return
 	}
 	if fr := s.cache.get(target); fr != nil && !s.cfg.DisableLinking {
-		s.res.TransCycles += c.LinkedJump
 		s.res.LinkedJumps++
 		fr.Enters++
 		s.frag = fr
 		s.fpos = 0
 		return
 	}
-	s.res.TransCycles += c.FragExit
 	s.res.FragExits++
 	s.mode = modeInterp
 	if completedPath {
@@ -1360,5 +1316,3 @@ func (s *System) leaveFragment(target int, completedPath bool) {
 		s.skipping = true
 	}
 }
-
-// nativeRedirectCycles is accumulated separately so Run can fold it in once.

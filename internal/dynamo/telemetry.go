@@ -138,25 +138,28 @@ func (s *System) blacklistHead(head int, chaosArg int64) {
 // syncTelemetry folds the accounting accumulated since the last sync into
 // the telemetry counters and refreshes the occupancy gauges. Called at
 // flush-window boundaries and at finish, so the exported values trail the
-// live run by at most one window. The per-path-rate volume counters (path
-// events, fragment enters/links/exits) are synced here as deltas of the
-// result counters rather than bumped atomically at each site: the sites run
-// once per path completion, and a lazy delta keeps the enabled path free of
-// per-path atomic traffic.
+// live run by at most one window. The cycle counters price a copy of the
+// result's counts, as finish prices the result itself. The per-path-rate
+// volume counters (path events, fragment enters/links/exits) are synced
+// here as deltas of the result counters rather than bumped atomically at
+// each site: the sites run once per path completion, and a lazy delta keeps
+// the enabled path free of per-path atomic traffic.
 func (s *System) syncTelemetry() {
 	if s.tel == nil {
 		return
 	}
+	priced := s.res
+	DefaultCosts().Price(&priced)
 	milli := func(c *telemetry.Counter, cur float64, last *int64) {
 		m := int64(cur * 1000)
 		s.tel.Add(c, m-*last)
 		*last = m
 	}
-	milli(telCyclesInterp, s.res.InterpCycles, &s.telLast.interp)
-	milli(telCyclesFrag, s.res.FragCycles, &s.telLast.frag)
-	milli(telCyclesProfile, s.res.ProfileCycles, &s.telLast.profile)
-	milli(telCyclesBuild, s.res.BuildCycles, &s.telLast.build)
-	milli(telCyclesTrans, s.res.TransCycles, &s.telLast.trans)
+	milli(telCyclesInterp, priced.InterpCycles, &s.telLast.interp)
+	milli(telCyclesFrag, priced.FragCycles, &s.telLast.frag)
+	milli(telCyclesProfile, priced.ProfileCycles, &s.telLast.profile)
+	milli(telCyclesBuild, priced.BuildCycles, &s.telLast.build)
+	milli(telCyclesTrans, priced.TransCycles, &s.telLast.trans)
 	delta := func(c *telemetry.Counter, cur int64, last *int64) {
 		s.tel.Add(c, cur-*last)
 		*last = cur

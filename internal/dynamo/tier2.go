@@ -406,10 +406,11 @@ func (s *System) promote(fr *Fragment) {
 	runtime.Gosched()
 }
 
-// t2UnrollCap bounds a superblock's guest length when the completion chain
-// revisits fragments (a loop): enough iterations to amortize the per-entry
-// fixed costs (entry guards, accounting, the cache-map hop back to the head)
-// without making early exits from long blocks dominate.
+// t2UnrollCap bounds a superblock's guest length across linked fragments.
+// When the completion chain revisits fragments (a loop) it allows enough
+// iterations to amortize the per-entry fixed costs (entry guards,
+// accounting, the cache-map hop back to the head) without making early
+// exits from long blocks dominate.
 const t2UnrollCap = 256
 
 // snapshotChain copies fr and the fragments reachable through completion
@@ -420,16 +421,12 @@ const t2UnrollCap = 256
 // and the per-entry overhead amortizes; t2UnrollCap bounds the walk.
 // Returns nil if the chain is not worth a superblock.
 func (s *System) snapshotChain(fr *Fragment) *t2Job {
-	cap := s.t2MaxGuest
-	if cap > t2UnrollCap {
-		cap = t2UnrollCap
-	}
 	// Walk the chain first, so the step copies below are allocated once at
 	// their exact length. Only chains this run proved hot, or restored as
 	// persisted tier-2 decisions, get here; restored flow alone never does.
 	var bounds []t2Bound
 	n := 0
-	for cur := fr; len(cur.Steps) > 0 && n+len(cur.Steps) <= cap; {
+	for cur := fr; len(cur.Steps) > 0 && n+len(cur.Steps) <= t2UnrollCap; {
 		n += len(cur.Steps)
 		bounds = append(bounds, t2Bound{fr: cur, end: int32(n)})
 		if s.cfg.DisableLinking {
@@ -539,7 +536,6 @@ func (s *System) t2Account(blk *t2Block, nInstr, nTrace int64) {
 	elim := int64(blk.elimPfx[nInstr])
 	s.res.FragInstrs += nInstr
 	s.res.ElimInstrs += elim
-	s.res.FragCycles += float64(nInstr-elim) * s.cfg.Costs.FragInstr
 	s.res.Redirects += int64(blk.redirPfx[nTrace])
 	s.res.T2Instrs += nInstr
 }
@@ -567,7 +563,6 @@ func (s *System) t2Boundaries(blk *t2Block, n int, exitPC int, exit bool) {
 		}
 		b := &blk.bounds[i]
 		if i > 0 {
-			s.res.TransCycles += s.cfg.Costs.LinkedJump
 			s.res.LinkedJumps++
 			b.fr.Enters++
 		}

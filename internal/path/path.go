@@ -31,9 +31,10 @@ type ID int32
 // None is the invalid path ID.
 const None ID = -1
 
-// DefaultMaxBranches is the default cap on taken control transfers per path.
-// Dynamo bounds trace length the same way; the cap keeps signatures and
-// recorded traces finite in pathological loop-free stretches.
+// DefaultMaxBranches is the default cap on branch events per path. Every
+// control instruction counts, a conditional branch that falls through
+// included. Dynamo bounds trace length the same way; the cap keeps
+// signatures and recorded traces finite in pathological loop-free stretches.
 const DefaultMaxBranches = 64
 
 // EndReason records why a path terminated.
