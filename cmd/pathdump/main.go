@@ -247,7 +247,7 @@ func hotPathEdges(p *prog.Program, fi int, g *cfg.Graph) (map[cfg.Edge]bool, err
 		if bi < 0 || p.Blocks[bi].Func != fi {
 			return -1
 		}
-		if n, ok := g.NodeOf[bi]; ok {
+		if n, ok := g.NodeOf(bi); ok {
 			return n
 		}
 		return -1

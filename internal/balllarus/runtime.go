@@ -79,7 +79,7 @@ func (rt *Runtime) pushFrame(fn, addr int) {
 	fr := blFrame{fn: fn, ok: rt.Numberings[fn] != nil}
 	if fr.ok {
 		g := rt.graphs[fn]
-		fr.node = g.NodeOf[rt.Prog.BlockAt(addr)]
+		fr.node, _ = g.NodeOf(rt.Prog.BlockAt(addr))
 		// Take the Entry→first edge.
 		rt.takeEdge(&fr, cfg.Entry, fr.node)
 	}
@@ -157,7 +157,7 @@ func (rt *Runtime) OnBranch(ev vm.BranchEvent) {
 		fr := &rt.stack[len(rt.stack)-1]
 		if fr.ok {
 			g := rt.graphs[fr.fn]
-			to := g.NodeOf[rt.Prog.BlockAt(ev.Target)]
+			to, _ := g.NodeOf(rt.Prog.BlockAt(ev.Target))
 			rt.takeEdge(fr, fr.node, to)
 		}
 		return
@@ -169,7 +169,7 @@ func (rt *Runtime) OnBranch(ev vm.BranchEvent) {
 	}
 	g := rt.graphs[fr.fn]
 	bi := rt.Prog.BlockAt(ev.Target)
-	to, in := g.NodeOf[bi]
+	to, in := g.NodeOf(bi)
 	if !in {
 		return // cross-function jump; not representable intraprocedurally
 	}

@@ -10,7 +10,9 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"netpath/internal/isa"
@@ -37,9 +39,8 @@ type Graph struct {
 	Func int // index into Prog.Funcs
 
 	// BlockOf maps node (>= 2) to the program block index; -1 for Entry/Exit.
+	// Real nodes follow program block order, so BlockOf[2:] ascends.
 	BlockOf []int
-	// NodeOf maps program block index to node.
-	NodeOf map[int]Node
 
 	Succs [][]Node
 	Preds [][]Node
@@ -50,6 +51,17 @@ type Graph struct {
 
 	rpo  []Node
 	idom []Node
+	num  []nodeNum
+}
+
+// nodeNum holds a node's place in the two orders the O(1) reachability and
+// dominance queries read. rpo is its RPO index, -1 when Entry cannot reach
+// it. pre and end number the dominator tree in DFS preorder: the subtree
+// rooted at u holds exactly the preorder numbers [pre, end), so a
+// dominates b iff b.pre lies in a's range. An unreachable node holds
+// pre = end = -1, which lies in no range and spans none.
+type nodeNum struct {
+	rpo, pre, end int32
 }
 
 // Build constructs the CFG for function fi of p.
@@ -58,14 +70,12 @@ func Build(p *prog.Program, fi int) (*Graph, error) {
 		return nil, fmt.Errorf("cfg: function index %d out of range", fi)
 	}
 	f := p.Funcs[fi]
-	g := &Graph{Prog: p, Func: fi, NodeOf: make(map[int]Node)}
+	g := &Graph{Prog: p, Func: fi}
 	g.BlockOf = []int{-1, -1}
 	for bi, b := range p.Blocks {
-		if b.Func != fi {
-			continue
+		if b.Func == fi {
+			g.BlockOf = append(g.BlockOf, bi)
 		}
-		g.NodeOf[bi] = Node(len(g.BlockOf))
-		g.BlockOf = append(g.BlockOf, bi)
 	}
 	n := len(g.BlockOf)
 	g.Succs = make([][]Node, n)
@@ -76,14 +86,11 @@ func Build(p *prog.Program, fi int) (*Graph, error) {
 		g.Preds[to] = append(g.Preds[to], from)
 	}
 
-	entryBlock := p.BlockAt(f.Entry)
-	addEdge(Entry, g.NodeOf[entryBlock])
+	entryNode, _ := g.NodeOf(p.BlockAt(f.Entry))
+	addEdge(Entry, entryNode)
 
-	for bi, b := range p.Blocks {
-		if b.Func != fi {
-			continue
-		}
-		node := g.NodeOf[bi]
+	for node := Node(2); int(node) < n; node++ {
+		b := p.Blocks[g.BlockOf[node]]
 		term := p.Instrs[b.End-1]
 		switch term.Op {
 		case isa.Jmp:
@@ -107,12 +114,32 @@ func Build(p *prog.Program, fi int) (*Graph, error) {
 	}
 	g.computeRPO()
 	g.computeDominators()
+	g.numberDomTree()
 	return g, nil
+}
+
+// NodeOf returns the node of program block bi, or (0, false) when bi is
+// not a block of this function.
+func (g *Graph) NodeOf(bi int) (Node, bool) {
+	blocks := g.BlockOf[2:]
+	if len(blocks) == 0 {
+		return 0, false
+	}
+	// A validated function's blocks are contiguous, so bi's offset from
+	// the first block is its index; otherwise search the ascending list.
+	i := bi - blocks[0]
+	if i < 0 || i >= len(blocks) || blocks[i] != bi {
+		i = sort.SearchInts(blocks, bi)
+		if i >= len(blocks) || blocks[i] != bi {
+			return 0, false
+		}
+	}
+	return Node(i + 2), true
 }
 
 func (g *Graph) edgeToAddr(add func(Node, Node), from Node, addr int) {
 	bi := g.Prog.BlockAt(addr)
-	if to, ok := g.NodeOf[bi]; ok && g.Prog.Blocks[bi].Start == addr {
+	if to, ok := g.NodeOf(bi); ok && g.Prog.Blocks[bi].Start == addr {
 		add(from, to)
 		return
 	}
@@ -124,32 +151,44 @@ func (g *Graph) edgeToAddr(add func(Node, Node), from Node, addr int) {
 // NumNodes returns the node count including Entry and Exit.
 func (g *Graph) NumNodes() int { return len(g.BlockOf) }
 
-// Edges returns all edges in deterministic order.
+// Edges returns all edges sorted by (From, To).
 func (g *Graph) Edges() []Edge {
 	var es []Edge
-	for from, succs := range g.Succs {
-		for _, to := range succs {
-			es = append(es, Edge{Node(from), to})
-		}
+	for from := range g.Succs {
+		es = g.appendEdgesFrom(es, Node(from), nil)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
-		}
-		return es[i].To < es[j].To
-	})
 	return es
 }
 
+// appendEdgesFrom appends the edges leaving u whose head keep accepts (all
+// of them when keep is nil), sorted by To. A node has a couple of
+// successors at most, so sorting each node's edges in node order yields
+// (From, To) order without a whole-graph sort.
+func (g *Graph) appendEdgesFrom(es []Edge, u Node, keep func(v Node) bool) []Edge {
+	start := len(es)
+	for _, v := range g.Succs[u] {
+		if keep == nil || keep(v) {
+			es = append(es, Edge{u, v})
+		}
+	}
+	slices.SortFunc(es[start:], func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+	return es
+}
+
+// computeRPO lays the nodes Entry reaches out in reverse postorder and
+// records each one's RPO index.
 func (g *Graph) computeRPO() {
 	n := g.NumNodes()
-	seen := make([]bool, n)
+	g.num = make([]nodeNum, n)
+	for i := range g.num {
+		g.num[i] = nodeNum{rpo: -1, pre: -1, end: -1}
+	}
 	var post []Node
 	var dfs func(Node)
 	dfs = func(u Node) {
-		seen[u] = true
+		g.num[u].rpo = 0 // seen; numbered below
 		for _, v := range g.Succs[u] {
-			if !seen[v] {
+			if g.num[v].rpo < 0 {
 				dfs(v)
 			}
 		}
@@ -158,6 +197,7 @@ func (g *Graph) computeRPO() {
 	dfs(Entry)
 	g.rpo = make([]Node, 0, len(post))
 	for i := len(post) - 1; i >= 0; i-- {
+		g.num[post[i]].rpo = int32(len(g.rpo))
 		g.rpo = append(g.rpo, post[i])
 	}
 }
@@ -165,14 +205,10 @@ func (g *Graph) computeRPO() {
 // RPO returns the reverse postorder over nodes reachable from Entry.
 func (g *Graph) RPO() []Node { return g.rpo }
 
-// Reachable reports whether node u is reachable from Entry.
+// Reachable reports whether node u is reachable from Entry. It is O(1): a
+// lookup of the RPO index Build recorded.
 func (g *Graph) Reachable(u Node) bool {
-	for _, v := range g.rpo {
-		if v == u {
-			return true
-		}
-	}
-	return false
+	return u >= 0 && int(u) < len(g.num) && g.num[u].rpo >= 0
 }
 
 // computeDominators runs the Cooper–Harvey–Kennedy iterative algorithm.
@@ -184,19 +220,13 @@ func (g *Graph) computeDominators() {
 	}
 	g.idom[Entry] = Entry
 
-	rpoIndex := make([]int, n)
-	for i := range rpoIndex {
-		rpoIndex[i] = -1
-	}
-	for i, u := range g.rpo {
-		rpoIndex[u] = i
-	}
+	rpoIndex := func(u Node) int32 { return g.num[u].rpo }
 	intersect := func(a, b Node) Node {
 		for a != b {
-			for rpoIndex[a] > rpoIndex[b] {
+			for rpoIndex(a) > rpoIndex(b) {
 				a = g.idom[a]
 			}
-			for rpoIndex[b] > rpoIndex[a] {
+			for rpoIndex(b) > rpoIndex(a) {
 				b = g.idom[b]
 			}
 		}
@@ -210,7 +240,7 @@ func (g *Graph) computeDominators() {
 			}
 			var newIdom Node = -1
 			for _, p := range g.Preds[u] {
-				if rpoIndex[p] < 0 || g.idom[p] < 0 {
+				if rpoIndex(p) < 0 || g.idom[p] < 0 {
 					continue // unreachable or unprocessed
 				}
 				if newIdom < 0 {
@@ -227,36 +257,49 @@ func (g *Graph) computeDominators() {
 	}
 }
 
+// numberDomTree numbers the dominator tree in preorder without building
+// it. Every node's idom precedes it in RPO. So a backward sweep over the
+// RPO sums subtree sizes (parked in pre), and a forward sweep gives each
+// node the next free number in its idom's range. The idom's end is that
+// cursor, and it comes to rest at the range's end once the last child has
+// been numbered.
+func (g *Graph) numberDomTree() {
+	for _, u := range g.rpo {
+		g.num[u].pre = 1
+	}
+	for i := len(g.rpo) - 1; i > 0; i-- {
+		u := g.rpo[i]
+		g.num[g.idom[u]].pre += g.num[u].pre
+	}
+	g.num[Entry].pre, g.num[Entry].end = 0, 1
+	for _, u := range g.rpo[1:] {
+		size, d := g.num[u].pre, &g.num[g.idom[u]]
+		g.num[u].pre = d.end
+		d.end += size
+		g.num[u].end = g.num[u].pre + 1
+	}
+}
+
 // Idom returns the immediate dominator of u (Entry's is Entry; unreachable
 // nodes return -1).
 func (g *Graph) Idom(u Node) Node { return g.idom[u] }
 
-// Dominates reports whether a dominates b.
+// Dominates reports whether a dominates b: both are reachable and b lies
+// in a's dominator subtree. It is O(1), an interval test on the preorder
+// numbering Build computed.
 func (g *Graph) Dominates(a, b Node) bool {
-	if g.idom[b] < 0 {
-		return false
-	}
-	for {
-		if a == b {
-			return true
-		}
-		if b == Entry {
-			return false
-		}
-		b = g.idom[b]
-		if b < 0 {
-			return false
-		}
-	}
+	na, nb := g.num[a], g.num[b]
+	return na.pre <= nb.pre && nb.pre < na.end
 }
 
 // BackEdges returns the edges u→v where v dominates u (natural-loop back
-// edges), in deterministic order.
+// edges), sorted by (From, To).
 func (g *Graph) BackEdges() []Edge {
 	var out []Edge
-	for _, e := range g.Edges() {
-		if g.Reachable(e.From) && g.Dominates(e.To, e.From) {
-			out = append(out, e)
+	for u := range g.Succs {
+		from := Node(u)
+		if g.Reachable(from) {
+			out = g.appendEdgesFrom(out, from, func(v Node) bool { return g.Dominates(v, from) })
 		}
 	}
 	return out
@@ -272,40 +315,42 @@ type Loop struct {
 // NaturalLoops returns the natural loops of the graph, one per back-edge
 // head (back edges sharing a head are merged), sorted by head.
 func (g *Graph) NaturalLoops() []Loop {
-	byHead := map[Node]map[Node]bool{}
-	for _, e := range g.BackEdges() {
-		body := byHead[e.To]
-		if body == nil {
-			body = map[Node]bool{e.To: true}
-			byHead[e.To] = body
-		}
-		// Walk predecessors from the tail until the head.
-		stack := []Node{e.From}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if body[u] {
+	loops := []Loop{}
+	// mark[u] == h+1 puts u in the body of the loop headed at h. Each
+	// head is visited once, so no mark needs clearing.
+	var mark []Node
+	var stack []Node
+	for h := range g.Preds {
+		head := Node(h)
+		var body []Node
+		for _, tail := range g.Preds[head] {
+			if !g.Reachable(tail) || !g.Dominates(head, tail) {
 				continue
 			}
-			body[u] = true
-			for _, p := range g.Preds[u] {
-				stack = append(stack, p)
+			if body == nil {
+				if mark == nil {
+					mark = make([]Node, g.NumNodes())
+				}
+				mark[head] = head + 1
+				body = append(body, head)
+			}
+			// Walk predecessors from the tail until the head.
+			stack = append(stack[:0], tail)
+			for len(stack) > 0 {
+				u := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if mark[u] == head+1 {
+					continue
+				}
+				mark[u] = head + 1
+				body = append(body, u)
+				stack = append(stack, g.Preds[u]...)
 			}
 		}
-	}
-	heads := make([]Node, 0, len(byHead))
-	for h := range byHead {
-		heads = append(heads, h)
-	}
-	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
-	loops := make([]Loop, 0, len(heads))
-	for _, h := range heads {
-		var body []Node
-		for u := range byHead[h] {
-			body = append(body, u)
+		if body != nil {
+			slices.Sort(body)
+			loops = append(loops, Loop{Head: head, Body: body})
 		}
-		sort.Slice(body, func(i, j int) bool { return body[i] < body[j] })
-		loops = append(loops, Loop{Head: h, Body: body})
 	}
 	return loops
 }

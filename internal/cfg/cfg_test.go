@@ -235,7 +235,7 @@ func TestCallEdgesToContinuation(t *testing.T) {
 	callNode := Node(-1)
 	for bi, blk := range p.Blocks {
 		if blk.Func == 0 && p.Instrs[blk.End-1].Op == isa.Call {
-			callNode = g.NodeOf[bi]
+			callNode, _ = g.NodeOf(bi)
 		}
 	}
 	if callNode < 0 {

@@ -172,7 +172,14 @@ func (e *VerifyError) Error() string {
 // panics, even on hand-assembled programs that bypass prog.Validate: a
 // Validate failure is itself reported (ClassStructure) and ends the
 // analysis, since the CFG builder assumes a well-tiled program.
-func Verify(p *prog.Program) *Report {
+func Verify(p *prog.Program) *Report { return verify(p, verifyFunc) }
+
+// funcCheck reports the issues of function fi, whose graph is g.
+type funcCheck func(p *prog.Program, fi int, g *Graph, r *Report, callTargets map[int]bool, hasCallInd bool)
+
+// verify runs check over every function of p and canonicalizes the report.
+// Tests pass a reference check built on brute-force graph queries.
+func verify(p *prog.Program, check funcCheck) *Report {
 	r := &Report{Program: p.Name}
 	if err := p.Validate(); err != nil {
 		r.Issues = append(r.Issues, Issue{
@@ -205,7 +212,7 @@ func Verify(p *prog.Program) *Report {
 			})
 			continue
 		}
-		verifyFunc(p, fi, g, r, callTargets, hasCallInd)
+		check(p, fi, g, r, callTargets, hasCallInd)
 	}
 	// Total order, then dedup. The per-function analyses can legitimately
 	// derive the same finding twice (a shared-head loop reported once per
@@ -310,15 +317,19 @@ func verifyFunc(p *prog.Program, fi int, g *Graph, r *Report, callTargets map[in
 	// Obviously-infinite counterless loops: a natural loop no edge leaves
 	// and no call or halt interrupts. (ret and halt terminators edge to
 	// Exit, which is outside every loop body, so they register as exits.)
-	for _, l := range g.NaturalLoops() {
-		inBody := map[Node]bool{}
+	// inLoop[u] == i+1 puts u in the body of loop i.
+	var inLoop []int32
+	for i, l := range g.NaturalLoops() {
+		if inLoop == nil {
+			inLoop = make([]int32, g.NumNodes())
+		}
 		for _, u := range l.Body {
-			inBody[u] = true
+			inLoop[u] = int32(i + 1)
 		}
 		escapes := false
 		for _, u := range l.Body {
 			for _, v := range g.Succs[u] {
-				if !inBody[v] {
+				if inLoop[v] != int32(i+1) {
 					escapes = true
 				}
 			}

@@ -22,6 +22,8 @@
 package dataflow
 
 import (
+	"math/bits"
+
 	"netpath/internal/cfg"
 )
 
@@ -86,8 +88,8 @@ const widenAfter = 4
 type Solution[S any] struct {
 	In  []S
 	Out []S
-	// Rounds is the number of full passes the fixpoint loop took; exported
-	// for tests that pin termination behavior.
+	// Rounds is the number of passes the fixpoint loop took; exported for
+	// tests that pin termination behavior.
 	Rounds int
 }
 
@@ -96,9 +98,12 @@ type Solution[S any] struct {
 // The iteration order is reverse post order for forward problems and post
 // order for backward ones, with any nodes unreachable from Entry (indirect
 // jump targets in graphs where cfg stops edge construction) appended in
-// node order so extra-entry states still propagate. The outer loop repeats
-// until a full pass changes nothing, re-joining only nodes whose inputs
-// moved; Widener bounds the number of passes on infinite lattices.
+// node order so extra-entry states still propagate. Each pass walks that
+// order once, re-joining only the dirty positions: nodes a flow
+// predecessor's Out changed since their last evaluation, or whose last
+// evaluation widened. The loop repeats until a pass changes nothing, so a
+// pass costs the nodes it re-joins, not the whole graph. Widener bounds
+// the number of passes on infinite lattices.
 func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 	n := g.NumNodes()
 	sol := &Solution[S]{In: make([]S, n), Out: make([]S, n)}
@@ -108,11 +113,12 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 	refiner, hasRefine := p.(EdgeRefiner[S])
 	widener, hasWiden := p.(Widener[S])
 
-	// flows returns the nodes whose states feed node v, honoring direction.
-	flows := g.Preds
+	// flows returns the nodes whose states feed node v, and deps the nodes
+	// v's state feeds, honoring direction.
+	flows, deps := g.Preds, g.Succs
 	boundaryNode := cfg.Entry
 	if p.Direction() == Backward {
-		flows = g.Succs
+		flows, deps = g.Succs, g.Preds
 		boundaryNode = cfg.Exit
 	}
 
@@ -127,38 +133,29 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 	sol.In[boundaryNode] = p.Boundary(g)
 	sol.Out[boundaryNode] = p.Transfer(g, boundaryNode, sol.In[boundaryNode])
 
-	// A node is re-joined only when a flow predecessor's Out changed since
-	// the node's last evaluation, or when that evaluation widened: Widen is
-	// not idempotent, so a widened node must re-join unchanged inputs.
-	// Skipping any other node is exact — its join would recompute the input
-	// it already holds — and saves re-joining whole states every round.
-	changedAt := make([]int, n) // tick of the last change to Out[v]
-	seenAt := make([]int, n)    // tick of v's last evaluation
-	widened := make([]bool, n)
-	tick := 1
-	for v := range changedAt {
-		changedAt[v] = tick
-	}
-	stale := func(node cfg.Node) bool {
-		if widened[node] {
-			return true
+	// dirty holds the visit positions due a re-join. Every node with a flow
+	// predecessor starts dirty. A change to Out[v] marks v's dependents; a
+	// widened evaluation marks its own node again, since Widen is not
+	// idempotent and the node must re-join unchanged inputs. A mark at or
+	// before the pass's cursor waits for the next pass, so nodes are
+	// evaluated in exactly the order a full round-robin sweep that skips
+	// clean nodes would evaluate them. Skipping a clean node is exact: its
+	// join would recompute the input it already holds.
+	pos := make([]int32, n)
+	dirty := newBitset(n)
+	for i, node := range order {
+		pos[node] = int32(i)
+		if len(flows[node]) > 0 {
+			dirty.set(i)
 		}
-		for _, pred := range flows[node] {
-			if changedAt[pred] > seenAt[node] {
-				return true
-			}
-		}
-		return false
 	}
 
 	for {
 		sol.Rounds++
 		changed := false
-		for _, node := range order {
-			if !stale(node) {
-				continue
-			}
-			seenAt[node], widened[node] = tick, false
+		for i := dirty.next(0); i >= 0; i = dirty.next(i + 1) {
+			dirty.clear(i)
+			node := order[i]
 			var in S
 			if node == boundaryNode {
 				in = p.Boundary(g)
@@ -181,7 +178,7 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 			}
 			visits[node]++
 			if hasWiden && visits[node] > widenAfter {
-				widened[node] = true
+				dirty.set(i)
 				in = widener.Widen(sol.In[node], in)
 				if p.Equal(in, sol.In[node]) {
 					continue
@@ -189,8 +186,9 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 			}
 			sol.In[node] = in
 			sol.Out[node] = p.Transfer(g, node, in)
-			tick++
-			changedAt[node] = tick
+			for _, dep := range deps[node] {
+				dirty.set(int(pos[dep]))
+			}
 			changed = true
 		}
 		if !changed {
@@ -203,6 +201,31 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 			return sol
 		}
 	}
+}
+
+// bitset is a fixed-size set of small non-negative integers.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int)   { b[uint(i)/64] |= 1 << (uint(i) % 64) }
+func (b bitset) clear(i int) { b[uint(i)/64] &^= 1 << (uint(i) % 64) }
+
+// next returns the smallest member ≥ i, or -1 when there is none.
+func (b bitset) next(i int) int {
+	w := int(uint(i) / 64)
+	if w >= len(b) {
+		return -1
+	}
+	if m := b[w] >> (uint(i) % 64); m != 0 {
+		return i + bits.TrailingZeros64(m)
+	}
+	for w++; w < len(b); w++ {
+		if b[w] != 0 {
+			return w*64 + bits.TrailingZeros64(b[w])
+		}
+	}
+	return -1
 }
 
 // visitOrder returns the node iteration order for a direction: RPO

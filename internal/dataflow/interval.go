@@ -560,18 +560,21 @@ func (p *rangeProblem) Join(a, b RangeState) RangeState {
 
 func (p *rangeProblem) Equal(a, b RangeState) bool { return a == b }
 
-// Widen pins any endpoint that moved outward to infinity, bounding the
-// ascending chain at two steps per register.
+// Widen pins any endpoint that moved outward to infinity, and keeps an
+// endpoint pinned once it is infinite, bounding the ascending chain at two
+// steps per register. Taking next's finite bound under an already pinned
+// one would unpin it, and the node would oscillate between the two until
+// Solve's round limit.
 func (p *rangeProblem) Widen(prev, next RangeState) RangeState {
 	if !prev.Reached {
 		return next
 	}
 	out := next
 	for i := range out.Reg {
-		if next.Reg[i].Lo < prev.Reg[i].Lo {
+		if next.Reg[i].Lo < prev.Reg[i].Lo || prev.Reg[i].Lo == math.MinInt64 {
 			out.Reg[i].Lo = math.MinInt64
 		}
-		if next.Reg[i].Hi > prev.Reg[i].Hi {
+		if next.Reg[i].Hi > prev.Reg[i].Hi || prev.Reg[i].Hi == math.MaxInt64 {
 			out.Reg[i].Hi = math.MaxInt64
 		}
 	}
@@ -637,7 +640,7 @@ func nodeAtAddr(g *cfg.Graph, addr int) (cfg.Node, bool) {
 		return 0, false
 	}
 	bi := g.Prog.BlockAt(addr)
-	n, ok := g.NodeOf[bi]
+	n, ok := g.NodeOf(bi)
 	if !ok || g.Prog.Blocks[bi].Start != addr {
 		return 0, false
 	}

@@ -179,7 +179,7 @@ func (a *Analysis) nodeAt(fi, addr int) cfg.Node {
 	if bi < 0 || a.Prog.Blocks[bi].Func != fi {
 		return -1
 	}
-	if n, ok := a.Graphs[fi].NodeOf[bi]; ok {
+	if n, ok := a.Graphs[fi].NodeOf(bi); ok {
 		return n
 	}
 	return -1
