@@ -42,3 +42,44 @@ func BenchmarkVerifyProgram(b *testing.B) {
 		})
 	}
 }
+
+// TestBuildAllocsPerGraph bounds Build's allocations per graph: the edge
+// lists of all nodes share two arrays sized by a counting pass, so gcc's
+// largest function (12,537 nodes) allocates about as many objects as its
+// smallest. Growing each node's lists with append costs one or two
+// allocations per node instead.
+func TestBuildAllocsPerGraph(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Build(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, big := 0, 0
+	nodes := make([]int, len(p.Funcs))
+	for fi := range p.Funcs {
+		g, err := Build(p, fi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[fi] = g.NumNodes()
+		if nodes[fi] < nodes[small] {
+			small = fi
+		}
+		if nodes[fi] > nodes[big] {
+			big = fi
+		}
+	}
+	for _, fi := range []int{small, big} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := Build(p, fi); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 40 {
+			t.Errorf("Build(%s), %d nodes, allocates %.0f objects, want at most 40", p.Funcs[fi].Name, nodes[fi], allocs)
+		}
+	}
+}

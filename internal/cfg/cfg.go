@@ -71,51 +71,76 @@ func Build(p *prog.Program, fi int) (*Graph, error) {
 	}
 	f := p.Funcs[fi]
 	g := &Graph{Prog: p, Func: fi}
-	g.BlockOf = []int{-1, -1}
+	n := 2
+	for _, b := range p.Blocks {
+		if b.Func == fi {
+			n++
+		}
+	}
+	g.BlockOf = append(make([]int, 0, n), -1, -1)
 	for bi, b := range p.Blocks {
 		if b.Func == fi {
 			g.BlockOf = append(g.BlockOf, bi)
 		}
 	}
-	n := len(g.BlockOf)
-	g.Succs = make([][]Node, n)
-	g.Preds = make([][]Node, n)
-
-	addEdge := func(from, to Node) {
-		g.Succs[from] = append(g.Succs[from], to)
-		g.Preds[to] = append(g.Preds[to], from)
-	}
-
 	entryNode, _ := g.NodeOf(p.BlockAt(f.Entry))
-	addEdge(Entry, entryNode)
-
-	for node := Node(2); int(node) < n; node++ {
-		b := p.Blocks[g.BlockOf[node]]
-		term := p.Instrs[b.End-1]
-		switch term.Op {
-		case isa.Jmp:
-			g.edgeToAddr(addEdge, node, int(term.Target))
-		case isa.Br, isa.BrI:
-			g.edgeToAddr(addEdge, node, int(term.Target))
-			g.edgeToAddr(addEdge, node, b.End) // fall-through
-		case isa.Call, isa.CallInd:
-			// Continuation after the call returns.
-			if b.End < f.End {
-				g.edgeToAddr(addEdge, node, b.End)
-			} else {
-				addEdge(node, Exit)
+	edges := func(add func(from, to Node)) {
+		add(Entry, entryNode)
+		for node := Node(2); int(node) < n; node++ {
+			b := p.Blocks[g.BlockOf[node]]
+			term := p.Instrs[b.End-1]
+			switch term.Op {
+			case isa.Jmp:
+				g.edgeToAddr(add, node, int(term.Target))
+			case isa.Br, isa.BrI:
+				g.edgeToAddr(add, node, int(term.Target))
+				g.edgeToAddr(add, node, b.End) // fall-through
+			case isa.Call, isa.CallInd:
+				// Continuation after the call returns.
+				if b.End < f.End {
+					g.edgeToAddr(add, node, b.End)
+				} else {
+					add(node, Exit)
+				}
+			case isa.Ret, isa.Halt:
+				add(node, Exit)
+			case isa.JmpInd:
+				g.HasIndirect = true
+				// No static successors.
 			}
-		case isa.Ret, isa.Halt:
-			addEdge(node, Exit)
-		case isa.JmpInd:
-			g.HasIndirect = true
-			// No static successors.
 		}
 	}
+	// Two passes over the terminators: the first counts each node's
+	// successors and predecessors, the second appends the edges, in order,
+	// to lists carved out of two shared arrays at those capacities, so
+	// Build allocates per graph rather than per node.
+	deg, e := make([]int32, 2*n), 0
+	edges(func(from, to Node) {
+		deg[from]++
+		deg[n+int(to)]++
+		e++
+	})
+	g.Succs, g.Preds = carve(deg[:n], e), carve(deg[n:], e)
+	edges(func(from, to Node) {
+		g.Succs[from] = append(g.Succs[from], to)
+		g.Preds[to] = append(g.Preds[to], from)
+	})
 	g.computeRPO()
 	g.computeDominators()
 	g.numberDomTree()
 	return g, nil
+}
+
+// carve returns one empty list per count, each with exactly that capacity,
+// out of one array of total elements; a zero count gets a nil list.
+func carve(counts []int32, total int) [][]Node {
+	lists, arr := make([][]Node, len(counts)), make([]Node, total)
+	for i, c := range counts {
+		if c > 0 {
+			lists[i], arr = arr[:0:c], arr[c:]
+		}
+	}
+	return lists
 }
 
 // NodeOf returns the node of program block bi, or (0, false) when bi is

@@ -2,8 +2,8 @@
 // injector for hardening the VM → Dynamo → predictor stack. An Injector
 // produces a schedule of fault events — machine traps, trace-recording
 // aborts, fragment-execution aborts, counter corruption, and selection
-// spikes — and feeds them into the existing seams: the vm.Machine fault
-// hook and the dynamo.Config Chaos field.
+// spikes — and feeds them into the existing seams: the dynamo.Config Chaos
+// field, and, for a plain machine, the vm.Machine fault hook.
 //
 // Determinism is the point: an injector built from the same seed and rates
 // (or the same explicit schedule) fires the identical events at the
@@ -16,6 +16,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -137,6 +138,18 @@ func (s *stream) due(step int64) (int64, bool) {
 	return arg, true
 }
 
+// nextStep returns the smallest step at which due can fire (math.MaxInt64
+// if it never will); due at any smaller step is a no-op.
+func (s *stream) nextStep() int64 {
+	if s.events == nil {
+		return s.next
+	}
+	if s.pos < len(s.events) {
+		return s.events[s.pos].Step
+	}
+	return math.MaxInt64
+}
+
 func (s *stream) gap() int64 {
 	return 1 + int64(s.r.ExpFloat64()*s.mean)
 }
@@ -150,8 +163,8 @@ func (s *stream) reset() {
 }
 
 // Injector is a replayable fault event source. It implements the
-// dynamo.Injector seam and provides a vm.FaultHook; the zero value is not
-// usable — build one with NewSchedule or NewRandom.
+// dynamo.Injector seam and provides a vm.FaultHook for a plain machine; the
+// zero value is not usable — build one with NewSchedule or NewRandom.
 type Injector struct {
 	streams   [NumKinds]stream
 	fired     [NumKinds]int64
@@ -261,23 +274,39 @@ func (in *Injector) take(k Kind, step int64) (int64, bool) {
 	return arg, ok
 }
 
-// VMFault implements the vm.FaultHook seam: it fires any due trap event as
-// a machine fault at the current PC. Attach with m.SetFaultHook(in.VMFault)
-// or via dynamo.Config.Chaos. The fault is deterministic in m.Steps, so the
-// same injector schedule trips the plain VM and the mini-Dynamo at the same
-// instruction.
-func (in *Injector) VMFault(m *vm.Machine) error {
-	step := m.Steps
+// Trap returns the machine fault due before the instruction at pc executes
+// as machine step step+1, or nil: the first due trap kind fires, and the
+// others wait for the next poll.
+func (in *Injector) Trap(step int64, pc int) error {
 	for _, k := range [...]Kind{TrapOOBLoad, TrapOOBStore, TrapBadIndirect, TrapStackOverflow} {
 		if _, ok := in.take(k, step); ok {
 			return &vm.Fault{
 				Kind: vm.FaultInjected,
-				PC:   m.PC,
-				Msg:  fmt.Sprintf("vm: injected %v at pc %d (step %d)", k, m.PC, step),
+				PC:   pc,
+				Msg:  fmt.Sprintf("vm: injected %v at pc %d (step %d)", k, pc, step),
 			}
 		}
 	}
 	return nil
+}
+
+// Next returns the smallest step at which Trap (trap) and AbortRecording or
+// AbortFragment (abort) can next fire; a poll at any smaller step is a
+// no-op, so a caller may run the machine up to that step without polling.
+// A stream that will never fire reports math.MaxInt64.
+func (in *Injector) Next() (trap, abort int64) {
+	s := &in.streams
+	return min(s[TrapOOBLoad].nextStep(), s[TrapOOBStore].nextStep(), s[TrapBadIndirect].nextStep(), s[TrapStackOverflow].nextStep()),
+		min(s[AbortRecording].nextStep(), s[AbortFragment].nextStep())
+}
+
+// VMFault implements the vm.FaultHook seam for a plain machine: it fires
+// any due trap event as a machine fault at the current PC. Attach with
+// m.SetFaultHook(in.VMFault). The fault is deterministic in m.Steps, so the
+// same injector schedule trips the plain VM and the mini-Dynamo (which
+// polls Trap at the same steps) at the same instruction.
+func (in *Injector) VMFault(m *vm.Machine) error {
+	return in.Trap(m.Steps, m.PC)
 }
 
 // AbortRecording reports whether the trace recording in flight should abort

@@ -175,3 +175,88 @@ func (in *Injector) anyTrapCheck(t *testing.T, m *vm.Machine, err error) error {
 	}
 	return err
 }
+
+// perStepLog polls the per-step streams — Trap, AbortRecording,
+// AbortFragment, in that order — at every step of [0, n) and logs what
+// fires.
+func perStepLog(in *Injector, n int64) []Event {
+	var out []Event
+	for step := int64(0); step < n; step++ {
+		out = pollPerStep(in, step, out)
+	}
+	return out
+}
+
+// boundedLog polls the per-step streams only where Next says one can fire:
+// from each step it jumps to the nearer of the two bounds, but never
+// backwards, as a batched caller does.
+func boundedLog(in *Injector, n int64) []Event {
+	var out []Event
+	for step := int64(0); ; step++ {
+		trap, abort := in.Next()
+		step = max(step, min(trap, abort))
+		if step >= n {
+			return out
+		}
+		out = pollPerStep(in, step, out)
+	}
+}
+
+func pollPerStep(in *Injector, step int64, out []Event) []Event {
+	fired := in.fired
+	if in.Trap(step, 0) != nil {
+		for k := TrapOOBLoad; k <= TrapStackOverflow; k++ {
+			if in.fired[k] != fired[k] {
+				out = append(out, Event{Step: step, Kind: k})
+			}
+		}
+	}
+	if in.AbortRecording(step) {
+		out = append(out, Event{Step: step, Kind: AbortRecording})
+	}
+	if in.AbortFragment(step) {
+		out = append(out, Event{Step: step, Kind: AbortFragment})
+	}
+	return out
+}
+
+// TestNextBoundsPerStepPolling checks the contract batched callers rely on:
+// polling the per-step streams only at the steps Next reports fires the
+// same events at the same steps, and leaves the same Fired counts, as
+// polling at every step — for random and scheduled injectors, with events
+// at step 0, several kinds due at one step and several events of one kind
+// due at one step (the later ones fire at the steps after), and again after
+// Reset.
+func TestNextBoundsPerStepPolling(t *testing.T) {
+	sched := []Event{
+		{Step: 0, Kind: AbortRecording}, {Step: 0, Kind: AbortFragment},
+		{Step: 40, Kind: TrapOOBLoad}, {Step: 40, Kind: TrapStackOverflow}, {Step: 40, Kind: TrapOOBLoad},
+		{Step: 40, Kind: AbortFragment}, {Step: 40, Kind: AbortFragment}, {Step: 41, Kind: AbortFragment},
+		{Step: 77, Kind: AbortRecording}, {Step: 77, Kind: TrapBadIndirect}, {Step: 900, Kind: TrapOOBStore},
+		{Step: 5, Kind: CorruptCounter, Arg: 9}, {Step: 5, Kind: SpikeSelect, Arg: 2},
+	}
+	rates := Rates{TrapPerM: 8_000, RecordAbortPerM: 40_000, FragAbortPerM: 25_000, CorruptPerM: 10_000}
+	for name, mk := range map[string]func() *Injector{
+		"schedule": func() *Injector { return NewSchedule(sched) },
+		"random":   func() *Injector { return NewRandom(5, rates) },
+		"dense":    func() *Injector { return NewRandom(6, Rates{TrapPerM: 4e6, FragAbortPerM: 1e6}) },
+	} {
+		per, bounded := mk(), mk()
+		for round := 0; round < 2; round++ {
+			want, got := perStepLog(per, 20_000), boundedLog(bounded, 20_000)
+			if len(want) == 0 {
+				t.Fatalf("%s: nothing fired", name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s round %d: bounded polling fired\n%v\nper-step polling fired\n%v", name, round, got, want)
+			}
+			for k := Kind(0); k < NumKinds; k++ {
+				if per.Fired(k) != bounded.Fired(k) {
+					t.Errorf("%s round %d: Fired(%v) %d bounded, %d per step", name, round, k, bounded.Fired(k), per.Fired(k))
+				}
+			}
+			per.Reset()
+			bounded.Reset()
+		}
+	}
+}

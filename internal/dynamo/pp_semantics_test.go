@@ -5,7 +5,6 @@ import (
 
 	"netpath/internal/isa"
 	"netpath/internal/prog"
-	"netpath/internal/vm"
 )
 
 // multiTailLoop builds a loop head with two roughly equal tails: the
@@ -129,20 +128,13 @@ func TestPPProfileChargesPerBranch(t *testing.T) {
 	m.Halt()
 	p := b.MustBuild()
 
-	cfg := DefaultConfig(SchemePathProfile, 1000)
-	for _, hook := range []bool{false, true} {
-		sys := New(p, cfg)
-		if hook {
-			sys.Machine().SetFaultHook(func(*vm.Machine) error { return nil })
-		}
-		res, err := sys.Run()
-		if err == nil || res.VMFault == "" {
-			t.Fatalf("hook %v: run did not fault: %v", hook, err)
-		}
-		c := DefaultCosts()
-		want := 5*c.BitShift + 4*c.PathTableUpdate + c.IndAppend
-		if res.ProfileCycles != want || res.PathEvents != 4 {
-			t.Errorf("hook %v: ProfileCycles %v over %d paths, want %v over 4", hook, res.ProfileCycles, res.PathEvents, want)
-		}
+	res, err := New(p, DefaultConfig(SchemePathProfile, 1000)).Run()
+	if err == nil || res.VMFault == "" {
+		t.Fatalf("run did not fault: %v", err)
+	}
+	c := DefaultCosts()
+	want := 5*c.BitShift + 4*c.PathTableUpdate + c.IndAppend
+	if res.ProfileCycles != want || res.PathEvents != 4 {
+		t.Errorf("ProfileCycles %v over %d paths, want %v over 4", res.ProfileCycles, res.PathEvents, want)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"netpath/internal/chaos"
 	"netpath/internal/prog"
 	"netpath/internal/randprog"
+	"netpath/internal/vm"
 	"netpath/internal/workload"
 )
 
@@ -135,5 +136,49 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("run took %v after a 5ms deadline: preemption not cooperative", elapsed)
+	}
+}
+
+// TestBailedRunPreemptsPerChunk: after bail-out the program runs native on
+// the batched muted-sink loop, which returns to the dispatcher — and its
+// deadline check — every nativeChunk steps. A guest that bails at once and
+// then spins for hours stops under a cancelled context with a typed error,
+// preempted while running native.
+func TestBailedRunPreemptsPerChunk(t *testing.T) {
+	p := hotLoop(1 << 40)
+	cfg := DefaultConfig(SchemeNET, 1_000_000) // never selects: low reuse
+	cfg.BailoutAfter = 10
+
+	// One native batch is one chunk: it stops short of the run's end and
+	// hands control back to the dispatcher.
+	cfg.MaxSteps = 1_000
+	sys := New(p, cfg)
+	if res, err := sys.Run(); !errors.Is(err, vm.ErrStepLimit) || !res.BailedOut {
+		t.Fatalf("warm-up: err %v, bailed %v; want a step limit after bail-out", err, res.BailedOut)
+	}
+	sys.cfg.MaxSteps = 0
+	before := sys.m.Steps
+	if err := sys.runNative(); err != nil || sys.m.Halted {
+		t.Fatalf("runNative: err %v, halted %v", err, sys.m.Halted)
+	}
+	if n := sys.m.Steps - before; n != nativeChunk {
+		t.Errorf("one native batch ran %d steps, want %d", n, nativeChunk)
+	}
+
+	cfg.MaxSteps = 0
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := New(p, cfg).RunContext(ctx)
+	var de *DeadlineError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want *DeadlineError", err)
+	}
+	if !res.BailedOut || de.Steps <= res.BailStep || res.NativeInstrs != de.Steps-res.BailStep {
+		t.Errorf("preempted at step %d, bail-out %v at step %d with %d native steps: want preemption in native code",
+			de.Steps, res.BailedOut, res.BailStep, res.NativeInstrs)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("run took %v after a 20ms deadline: native execution not preemptible", elapsed)
 	}
 }

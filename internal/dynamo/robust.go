@@ -8,10 +8,18 @@ package dynamo
 
 // Injector is the fault-injection seam of Config.Chaos, implemented by
 // chaos.Injector. All methods must be deterministic in their arguments so
-// runs stay replayable. VMFault is installed separately as the machine's
-// fault hook (see vm.FaultHook); the step-indexed methods below are polled
-// by the system at its integration points.
+// runs stay replayable. The system polls the step-indexed methods at its
+// integration points. Trap, AbortRecording and AbortFragment are per-step
+// streams: the system polls them where a per-instruction stepper would,
+// but runs its batched loops without polling up to the step Next reports,
+// so a poll at an earlier step must be a no-op.
 type Injector interface {
+	// Trap returns the machine fault to deliver before the instruction at pc
+	// executes as machine step step+1, or nil.
+	Trap(step int64, pc int) error
+	// Next returns the smallest machine steps at which Trap (trap) and
+	// AbortRecording or AbortFragment (abort) can next fire.
+	Next() (trap, abort int64)
 	// AbortRecording reports whether the trace recording (NET) or path
 	// capture (PathProfile) in flight should abort at this machine step.
 	AbortRecording(step int64) bool

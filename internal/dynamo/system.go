@@ -463,9 +463,6 @@ func New(p *prog.Program, cfg Config) *System {
 	s.everCached = make([]bool, n+1)
 	s.heads = newHeadTable(cfg.MaxHeadCounters)
 	s.m.SetSink(s)
-	if h, ok := cfg.Chaos.(interface{ VMFault(*vm.Machine) error }); ok {
-		s.m.SetFaultHook(h.VMFault)
-	}
 	if s.tr != nil {
 		// Attach an instant fault span at delivery; the observer runs on the
 		// failure path only, never per instruction.
@@ -641,12 +638,11 @@ func (s *System) Run() (Result, error) { return s.RunContext(context.Background(
 // checked at every dispatcher iteration and at fragment-link boundaries: at
 // most one path apart while interpreting (the batched interpreter returns at
 // each path boundary, and a PathProfile skip ends at the next backward
-// branch, which every loop takes) and at most one fragment body apart in the
+// branch, which every loop takes), at most one fragment body apart in the
 // cache, so a hostile guest cannot outrun its wall-clock budget by staying
-// resident in the fragment cache. The per-step steppers (chaos, fault hooks,
-// native execution after bail-out) are checked every instruction. A
-// background context makes RunContext exactly Run: no timer, no atomic
-// traffic on the step path.
+// resident in the fragment cache, and at most nativeChunk steps apart in
+// native execution after bail-out. A background context makes RunContext
+// exactly Run: no timer, no atomic traffic on the step path.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
 	if s.verifyErr != nil {
 		return s.res, fmt.Errorf("dynamo: refusing unverified program: %w", s.verifyErr)
@@ -666,21 +662,14 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 			s.finish()
 			return s.res, &DeadlineError{Steps: s.m.Steps, Cause: context.Cause(ctx)}
 		}
-		// The fault-free path runs batched: the interpreter to the next
-		// path boundary, fragments (and linked successors) to the next exit.
-		// Chaos injection or an installed fault hook selects the per-step
-		// steppers, which consult them between instructions.
-		batched := s.inj == nil && !s.m.HasFaultHook()
 		var err error
-		switch {
-		case s.mode == modeFragment && batched:
+		switch s.mode {
+		case modeFragment:
 			err = s.runFragment()
-		case s.mode == modeFragment:
-			err = s.stepFragmentSlow()
-		case s.mode == modeInterp && batched:
+		case modeInterp:
 			err = s.runInterp()
 		default:
-			err = s.stepInterp()
+			err = s.runNative()
 		}
 		if err != nil {
 			var f *vm.Fault
@@ -713,9 +702,20 @@ func (s *System) finish() {
 func (s *System) runInterp() error {
 	m := s.m
 	steps := m.Steps
-	err := m.RunToYield(s.cfg.MaxSteps)
+	bound := s.cfg.MaxSteps
+	if s.inj != nil {
+		var err error
+		if bound, err = s.injectBound(true); err != nil {
+			// The trapped instruction was dispatched: it counts as
+			// interpreted, like one that faults itself.
+			s.countInterp(1)
+			s.countFaultedBranch(err)
+			return err
+		}
+	}
+	err := m.RunToYield(bound)
 	if err == vm.ErrStepLimit {
-		err = nil // the dispatcher raises it
+		err = nil // the dispatcher raises it, or resumes at an injection bound
 	}
 	n := m.Steps - steps
 	if err != nil {
@@ -727,8 +727,98 @@ func (s *System) runInterp() error {
 		return err
 	}
 	s.countInterp(n)
+	if s.inj != nil {
+		s.pollAborts()
+	}
 	s.pathBoundary()
 	return nil
+}
+
+// injectBound delivers the trap due before the step at the current PC, if
+// any, and otherwise returns the budget of the next batched run: MaxSteps,
+// cut at the next step at which a trap (or, with aborts, a recording or
+// fragment abort) can fire, but at least one step ahead, so that a stream
+// already due is polled after the next step, as a per-instruction stepper
+// would poll it. Native execution polls traps only.
+func (s *System) injectBound(aborts bool) (int64, error) {
+	if err := s.inj.Trap(s.m.Steps, s.m.PC); err != nil {
+		return 0, s.m.Inject(err)
+	}
+	next, abort := s.inj.Next()
+	if aborts {
+		next = min(next, abort)
+	}
+	next = max(next, s.m.Steps+1)
+	if s.cfg.MaxSteps > 0 {
+		next = min(next, s.cfg.MaxSteps)
+	}
+	return next, nil
+}
+
+// pollAborts polls the abort streams after an interpreted batch ended at
+// the current step. A recording abort hits only what is in flight: the NET
+// recording or the PathProfile capture. A fragment abort hits nothing, no
+// fragment being in flight, but is drawn all the same so that events land
+// at their step rather than ambushing the next fragment.
+func (s *System) pollAborts() {
+	step := s.m.Steps
+	abort := s.inj.AbortRecording(step)
+	s.inj.AbortFragment(step) // no fragment in flight; discard
+	if !abort {
+		return
+	}
+	switch {
+	case s.recording:
+		s.recording = false
+		s.evs = s.evs[:0]
+		s.res.RecordAborts++
+		s.tr.End(s.selSpan)
+		s.selSpan = trace.NoSpan
+		s.blacklistHead(s.recStart, chaosArgRecordAbort)
+	case s.cfg.Scheme == SchemePathProfile && !s.skipping && !s.capAborted:
+		s.capAborted = true
+		s.evs = s.evs[:0]
+		s.res.RecordAborts++
+		s.blacklistHead(s.capStart, chaosArgRecordAbort)
+	}
+}
+
+// nativeChunk bounds one native batch, so a deadline preempts a program
+// that has bailed out within that many steps.
+const nativeChunk = 1 << 16
+
+// runNative runs the program after bail-out on the muted-sink loop, up to
+// nativeChunk steps (and the next trap step under fault injection) per
+// call. The loop's redirect count stands in for the branch events the sink
+// no longer sees.
+func (s *System) runNative() error {
+	m := s.m
+	steps := m.Steps
+	bound := s.cfg.MaxSteps
+	if s.inj != nil {
+		var err error
+		if bound, err = s.injectBound(false); err != nil {
+			return err
+		}
+	}
+	if chunk := steps + nativeChunk; bound <= 0 || bound > chunk {
+		bound = chunk
+	}
+	redirs, faultRedir, err := m.RunMuted(bound)
+	if err == vm.ErrStepLimit {
+		err = nil // the dispatcher raises it, or resumes at a chunk bound
+	}
+	s.res.Redirects += redirs
+	n := m.Steps - steps
+	if f, ok := err.(*vm.Fault); ok && n > 0 && f.Kind != vm.FaultBadRegister {
+		n-- // the faulting step moved m.Steps but did not complete
+	}
+	if faultRedir {
+		redirs-- // a redirect of the faulting step, not a native instruction's
+	}
+	s.res.NativeInstrs += n
+	s.res.NativeRedirects += redirs
+	return err
 }
 
 // countInterp counts n interpreted instructions, and the same n as
@@ -756,57 +846,6 @@ func (s *System) countFaultedBranch(err error) {
 	if k, ok := isa.KindOf(s.m.Prog.Instrs[s.m.PC].Op); ok {
 		s.countProfileOp(k)
 	}
-}
-
-// stepInterp interprets one instruction. It is the per-step stepper for
-// chaos runs and runs under a fault hook — the oracle runInterp is tested
-// against — and the native loop after bail-out.
-func (s *System) stepInterp() error {
-	pc := s.m.PC
-	if s.mode == modeNative {
-		if err := s.m.Step(); err != nil {
-			return err
-		}
-		s.res.NativeInstrs++
-		if s.m.PC != pc+1 && !s.m.Halted {
-			s.res.NativeRedirects++
-		}
-		return nil
-	}
-
-	s.countInterp(1)
-	if err := s.m.Step(); err != nil {
-		s.countFaultedBranch(err)
-		return err
-	}
-
-	// Injected faults land at their machine step and damage only what is in
-	// flight then: a recording abort with no recording under way hits
-	// nothing, and a fragment abort while interpreting hits nothing. Both
-	// streams are polled every step so events never pile up and ambush the
-	// next recording.
-	if s.inj != nil {
-		abort := s.inj.AbortRecording(s.m.Steps)
-		s.inj.AbortFragment(s.m.Steps) // no fragment in flight; discard
-		if abort {
-			switch {
-			case s.recording:
-				s.recording = false
-				s.evs = s.evs[:0]
-				s.res.RecordAborts++
-				s.tr.End(s.selSpan)
-				s.selSpan = trace.NoSpan
-				s.blacklistHead(s.recStart, chaosArgRecordAbort)
-			case s.cfg.Scheme == SchemePathProfile && !s.skipping && !s.capAborted:
-				s.capAborted = true
-				s.evs = s.evs[:0]
-				s.res.RecordAborts++
-				s.blacklistHead(s.capStart, chaosArgRecordAbort)
-			}
-		}
-	}
-	s.pathBoundary()
-	return nil
 }
 
 // pathBoundary handles what the last interpreted instruction ended, if
@@ -1104,16 +1143,29 @@ func (s *System) bail(reason string) {
 
 // runFragment executes fragments on their lowered traces (vm.RunTrace, sink
 // muted) until control leaves the fragment cache or the machine halts,
-// faults, or reaches the step budget. Linked exits continue in the successor
+// faults, or reaches the step budget — under fault injection, the next
+// step an injection can fire at. Linked exits continue in the successor
 // fragment without returning to Run's dispatcher, the software analogue of
-// Dynamo's fragment linking. Only reached when no injector and no fault hook
-// are installed. Redirects come from the trace's recorded prefix counts plus
-// the exit step, as tier 2 settles them.
+// Dynamo's fragment linking. Redirects come from the trace's recorded
+// prefix counts plus the exit step, as tier 2 settles them.
 //
 //netpathvet:dispatch
 func (s *System) runFragment() error {
 	m := s.m
 	for {
+		bound := s.cfg.MaxSteps
+		if s.inj != nil {
+			if bound > 0 && m.Steps >= bound {
+				return nil // a link at the step limit: no poll before the dispatcher stops
+			}
+			if s.pollFragmentAbort() {
+				return nil
+			}
+			var err error
+			if bound, err = s.injectBound(true); err != nil {
+				return err
+			}
+		}
 		fr := s.frag
 		if s.t2c != nil && s.fpos == 0 {
 			// A published superblock supersedes the lowered trace when
@@ -1126,7 +1178,7 @@ func (s *System) runFragment() error {
 					s.creditT2Block(blk)
 				}
 				if blk.sb != nil {
-					ran, err := s.runTier2(fr, blk)
+					ran, err := s.runTier2(fr, blk, bound)
 					if err != nil {
 						return err
 					}
@@ -1144,18 +1196,18 @@ func (s *System) runFragment() error {
 			}
 		}
 		from := s.fpos
-		x := m.RunTrace(fr.code, from, s.cfg.MaxSteps)
+		x := m.RunTrace(fr.code, from, bound)
 		s.res.Redirects += x.Redirects
 		s.fpos = x.Pos
 		switch {
 		case x.Err != nil:
-			// A faulting step is not accounted, matching the per-step
-			// stepper, which returns before accounting on error.
+			// A faulting step is not accounted.
 			s.accountFrag(fr, from, x.Pos)
 			return x.Err
 		case x.NextPC < 0:
 			// Halted (the halting step executed) or out of budget before
-			// step Pos: Run's loop ends the run.
+			// step Pos: Run's loop ends the run, or resumes here at an
+			// injection bound.
 			to := x.Pos
 			if m.Halted {
 				to++
@@ -1205,81 +1257,45 @@ func (s *System) accountFrag(fr *Fragment, from, to int) {
 	s.res.ElimInstrs += elim
 }
 
-// stepFragmentSlow is the chaos slow path: one fragment step per call, with
-// injected-fault polling. Installed only when an injector or fault hook is
-// active — the fast loop above carries none of these branches.
-func (s *System) stepFragmentSlow() error {
-	// Injected fragment fault: fall back to the interpreter at the current
-	// PC (the machine state is untouched, so execution stays semantically
-	// identical); a fragment that keeps faulting is demoted — evicted from
-	// the cache and its head blacklisted — back to interpretation. The
-	// recording stream is drained too (no recording is in flight while a
-	// fragment runs) so events land at their step, not at the next recording.
-	if inj := s.inj; inj != nil {
-		inj.AbortRecording(s.m.Steps) // no recording in flight; discard
-		if inj.AbortFragment(s.m.Steps) {
-			s.res.FragAborts++
-			s.frag.Aborts++
-			head := s.frag.Start
-			s.event(trace.SpanChaosInject, telFragAborts, head, chaosArgFragAbort)
-			if s.cfg.DemoteAfterAborts > 0 && s.frag.Aborts >= int64(s.cfg.DemoteAfterAborts) {
-				if s.cache.get(head) == s.frag {
-					s.cache.remove(head)
-				}
-				s.res.Demotions++
-				s.blacklistHead(head, -1)
-				s.event(trace.SpanFragDemote, telDemotions, head, s.frag.Aborts)
-			}
-			s.res.FragExits++
-			s.mode = modeInterp
-			s.tracker.Restart(s.m.PC)
-			if s.cfg.Scheme != SchemePathProfile || s.fpos == 0 {
-				// The abort point is a (potential) trace head: NET and the
-				// static scheme treat any exit as one, and at fpos 0 it is
-				// the fragment's own head.
-				s.atPathStart(s.m.PC)
-			} else {
-				// PathProfile: a mid-path suffix is not a profilable unit.
-				s.skipping = true
-			}
-			return nil
+// pollFragmentAbort polls the abort streams before the fragment step at
+// the current PC and reports whether an injected fragment fault aborted it.
+// The aborted execution falls back to the interpreter at the current PC
+// (the machine state is untouched, so execution stays semantically
+// identical); a fragment that keeps faulting is demoted — evicted from the
+// cache and its head blacklisted — back to interpretation. The recording
+// stream is drained too (no recording is in flight while a fragment runs)
+// so events land at their step, not at the next recording.
+func (s *System) pollFragmentAbort() bool {
+	step := s.m.Steps
+	s.inj.AbortRecording(step) // no recording in flight; discard
+	if !s.inj.AbortFragment(step) {
+		return false
+	}
+	s.res.FragAborts++
+	s.frag.Aborts++
+	head := s.frag.Start
+	s.event(trace.SpanChaosInject, telFragAborts, head, chaosArgFragAbort)
+	if s.cfg.DemoteAfterAborts > 0 && s.frag.Aborts >= int64(s.cfg.DemoteAfterAborts) {
+		if s.cache.get(head) == s.frag {
+			s.cache.remove(head)
 		}
+		s.res.Demotions++
+		s.blacklistHead(head, -1)
+		s.event(trace.SpanFragDemote, telDemotions, head, s.frag.Aborts)
 	}
-
-	st := &s.frag.Steps[s.fpos]
-	if err := s.m.Step(); err != nil {
-		return err
+	s.res.FragExits++
+	s.mode = modeInterp
+	s.tracker.Restart(s.m.PC)
+	if s.cfg.Scheme != SchemePathProfile || s.fpos == 0 {
+		// The abort point is a (potential) trace head: NET and the static
+		// scheme treat any exit as one, and at fpos 0 it is the fragment's
+		// own head.
+		s.atPathStart(s.m.PC)
+	} else {
+		// PathProfile: a mid-path suffix is not a profilable unit.
+		s.skipping = true
 	}
-	if st.Eliminated {
-		s.res.ElimInstrs++
-	}
-	s.res.FragInstrs++
-	if s.m.Halted {
-		return nil
-	}
-	actual := s.m.PC
-	if s.fpos == len(s.frag.Steps)-1 {
-		// Fragment completed: its end is a path boundary. Promotion still
-		// runs under chaos — background compilation and publication proceed
-		// while this System stays on the precise slow path, which never
-		// dispatches through a published block (see RunContext).
-		s.frag.Completions++
-		s.res.PathEvents++
-		s.res.CacheEvents++
-		s.onPathEvent()
-		if s.t2c != nil {
-			s.maybePromote(s.frag)
-		}
-		s.leaveFragment(actual, true)
-		return nil
-	}
-	if actual == st.Next {
-		s.fpos++
-		return nil
-	}
-	s.frag.EarlyExits++
-	s.leaveFragment(actual, false)
-	return nil
+	return true
 }
 
 // leaveFragment transfers control out of the current fragment to target.

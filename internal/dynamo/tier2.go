@@ -458,14 +458,15 @@ func (s *System) snapshotChain(fr *Fragment) *t2Job {
 }
 
 // runTier2 executes fr's published superblock. Returns ran = false when the
-// block must not run this dispatch (step budget too tight for the whole
-// block, or entry guards fail) — the caller falls through to the precise
-// tier-1 loop. The error, if any, is the machine fault that ended the run.
+// block must not run this dispatch (step budget — MaxSteps, or the next
+// injection step — too tight for the whole block, or entry guards fail) —
+// the caller falls through to the precise tier-1 loop. The error, if any,
+// is the machine fault that ended the run.
 //
 //netpathvet:dispatch
-func (s *System) runTier2(fr *Fragment, blk *t2Block) (bool, error) {
+func (s *System) runTier2(fr *Fragment, blk *t2Block, bound int64) (bool, error) {
 	m := s.m
-	if limit := s.cfg.MaxSteps; limit > 0 && m.Steps+int64(blk.nGuest) > limit {
+	if bound > 0 && m.Steps+int64(blk.nGuest) > bound {
 		// Not enough budget for a full block: tier 1 stops on the exact step.
 		return false, nil
 	}

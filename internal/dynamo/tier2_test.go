@@ -519,7 +519,7 @@ func TestTier2DispatchAllocs(t *testing.T) {
 	sys.cfg.MaxSteps = 0
 	sys.mode = modeFragment
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := sys.runTier2(fr, blk); err != nil {
+		if _, err := sys.runTier2(fr, blk, 0); err != nil {
 			t.Fatalf("runTier2: %v", err)
 		}
 		sys.mode = modeFragment

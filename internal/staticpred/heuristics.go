@@ -11,6 +11,8 @@
 package staticpred
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"netpath/internal/cfg"
@@ -72,9 +74,9 @@ type Analysis struct {
 	Prog   *prog.Program
 	Graphs []*cfg.Graph
 
-	// inner[fi][node] is the innermost natural-loop body containing node
-	// (nil when the node is in no loop).
-	inner [][]map[cfg.Node]bool
+	// inner[fi][node] is the sorted body of the innermost natural loop
+	// containing node (nil when the node is in no loop).
+	inner [][][]cfg.Node
 
 	// data holds the program's initial memory values, sorted — the operand
 	// distribution the immediate heuristic estimates against.
@@ -92,25 +94,20 @@ func Analyze(p *prog.Program) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Analysis{Prog: p, Graphs: gs, inner: make([][]map[cfg.Node]bool, len(gs))}
+	a := &Analysis{Prog: p, Graphs: gs, inner: make([][][]cfg.Node, len(gs))}
 	for fi, g := range gs {
-		in := make([]map[cfg.Node]bool, g.NumNodes())
+		in := make([][]cfg.Node, g.NumNodes())
 		loops := g.NaturalLoops()
-		// Largest bodies first, so the smallest enclosing loop wins.
-		for i := 0; i < len(loops); i++ {
-			for j := i + 1; j < len(loops); j++ {
-				if len(loops[j].Body) > len(loops[i].Body) {
-					loops[i], loops[j] = loops[j], loops[i]
-				}
-			}
-		}
+		// Largest bodies first, so the smallest enclosing loop wins. Natural
+		// loops with distinct heads are nested or disjoint, so loops of
+		// equal size share no node and their order cannot matter; the
+		// stable sort keeps it fixed all the same.
+		slices.SortStableFunc(loops, func(x, y cfg.Loop) int {
+			return cmp.Compare(len(y.Body), len(x.Body))
+		})
 		for _, l := range loops {
-			body := make(map[cfg.Node]bool, len(l.Body))
 			for _, u := range l.Body {
-				body[u] = true
-			}
-			for _, u := range l.Body {
-				in[u] = body
+				in[u] = l.Body
 			}
 		}
 		a.inner[fi] = in
@@ -242,8 +239,8 @@ func (a *Analysis) TakenProb(pc int) float64 {
 		if node := a.nodeAt(fi, pc); node >= 0 {
 			if body := a.inner[fi][node]; body != nil {
 				tn, fn := a.nodeAt(fi, t), a.nodeAt(fi, pc+1)
-				tIn := tn >= 0 && body[tn]
-				fIn := fn >= 0 && body[fn]
+				_, tIn := slices.BinarySearch(body, tn)
+				_, fIn := slices.BinarySearch(body, fn)
 				if tIn != fIn {
 					if tIn {
 						p = combine(p, probStayInLoop)

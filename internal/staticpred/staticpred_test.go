@@ -315,3 +315,36 @@ func TestPredictorContract(t *testing.T) {
 			sp.PredictedCount(), sp.Phantoms, sp.Aborts)
 	}
 }
+
+// TestLoopExitUsesInnermostLoop: a forward branch that leaves an inner loop
+// but stays in the enclosing one is a loop exit. The heuristic must judge
+// it against the innermost loop's body, in which only the fall-through
+// stays; against the outer body both sides stay and it would not fire.
+func TestLoopExitUsesInnermostLoop(t *testing.T) {
+	b := prog.NewBuilder("nested")
+	b.SetMemSize(4)
+	m := b.Func("main")
+	m.MovI(0, 0)
+	m.Label("outer")
+	m.MovI(1, 0)
+	m.Label("inner")
+	m.AddI(1, 1, 1)
+	m.BrI(isa.Gt, 1, 50, "brk") // leaves the inner loop only
+	m.BrI(isa.Lt, 1, 100, "inner")
+	m.Label("brk")
+	m.AddI(0, 0, 1)
+	m.BrI(isa.Lt, 0, 10, "outer")
+	m.Halt()
+	p := b.MustBuild()
+	a := analyze(t, p)
+	pc := -1
+	for i, in := range p.Instrs {
+		if in.Op == isa.BrI && in.Cond == isa.Gt {
+			pc = i
+		}
+	}
+	want := combine(condProb(isa.Gt), 1-probStayInLoop)
+	if got := a.TakenProb(pc); math.Abs(got-want) > 1e-12 {
+		t.Errorf("TakenProb of the inner-loop exit = %v, want %v (the loop-exit heuristic against the inner loop)", got, want)
+	}
+}

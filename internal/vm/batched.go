@@ -1,11 +1,13 @@
 // Batched loops for an observing caller. Dynamo needs the machine to stop
 // at path boundaries, not after every instruction: RunToYield runs the
 // threaded micro-ops with the branch sink live until the sink calls Yield,
-// and RunTrace runs a recorded trace with the sink muted until execution
-// leaves it. Both keep Run's loop shape — one budget compare and one
-// indirect call per instruction — and settle m.PC and m.Steps only when
-// they return. Neither consults a fault hook or the legacy engine: a caller
-// that installs one steps the machine instead.
+// RunTrace runs a recorded trace with the sink muted until execution
+// leaves it, and RunMuted runs with the sink muted and only counts the
+// redirects its events would have reported. All three keep Run's loop
+// shape — one budget compare and one indirect call per instruction — and
+// settle m.PC and m.Steps only when they return. None consults a fault
+// hook or the legacy engine: a caller that injects faults bounds the run at
+// the next injection step and delivers the fault with Inject.
 package vm
 
 // Yield asks the RunToYield loop in progress to return once the current
@@ -132,4 +134,43 @@ func (m *Machine) RunTrace(tr []TraceStep, pos int, maxSteps int64) TraceExit {
 	// On trace, out of budget before step pos.
 	m.sink, m.PC, m.Steps = sink, int(u.pc), steps+int64(pos-from)
 	return TraceExit{Pos: pos, NextPC: -1, Redirects: int64(tr[pos].Redirs - tr[from].Redirs)}
+}
+
+// RunMuted executes like Run(maxSteps) on the predecoded engine with the
+// branch sink muted: the loop of a run nobody observes but whose control
+// transfers are still counted. redirects is the number of executed steps
+// whose successor is not their fall-through — a halt is not one — plus,
+// as in TraceExit.Redirects, a transfer whose target faulted;
+// faultRedirect reports that the run ended on such a transfer, whose event
+// a live sink would have received before the fault.
+//
+//netpathvet:dispatch
+func (m *Machine) RunMuted(maxSteps int64) (redirects int64, faultRedirect bool, err error) {
+	u, limit, err := m.start(maxSteps)
+	if u == nil {
+		return 0, false, err
+	}
+	sink := m.sink
+	m.sink = nil
+	steps := m.Steps
+	for {
+		if steps >= limit {
+			m.sink, m.PC, m.Steps = sink, int(u.pc), steps
+			return redirects, false, ErrStepLimit
+		}
+		steps++
+		nu := u.fn(m, u)
+		if nu == nil {
+			m.sink, m.Steps = sink, steps
+			err = m.settleExec(int(u.pc), stop)
+			if f, ok := err.(*Fault); ok && f.Kind == FaultBadPC && m.badTarget != int(u.pc)+1 {
+				return redirects + 1, true, err
+			}
+			return redirects, false, err
+		}
+		if nu.pc != u.pc+1 {
+			redirects++
+		}
+		u = nu
+	}
 }

@@ -194,3 +194,95 @@ func TestLockstepRunTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestLockstepRunMuted runs each program through RunMuted in chunks and
+// checks every chunk against the legacy stepper: the same state, step count
+// and fault, no event delivered to the muted sink, redirects equal to the
+// reference's events whose target is not the fall-through, and
+// faultRedirect set exactly when the faulting step delivered such an event
+// — an out-of-range transfer — so that redirects without it counts the
+// completed steps whose successor is not their fall-through.
+func TestLockstepRunMuted(t *testing.T) {
+	var progs []*prog.Program
+	for seed := int64(1); seed <= 12; seed++ {
+		progs = append(progs, randprog.MustGenerate(seed, randprog.Options{}))
+	}
+	progs = append(progs,
+		rawProgram([]isa.Instr{{Op: isa.MovI, A: 1, Imm: 2}, {Op: isa.Jmp, Target: 55}}, 8),
+		rawProgram([]isa.Instr{{Op: isa.Br, Cond: isa.Eq, A: 1, B: 2, Target: -9}}, 8),
+		// A return to the address past the last instruction: the call is
+		// the last instruction, so its return address is out of range.
+		rawProgram([]isa.Instr{{Op: isa.Jmp, Target: 2}, {Op: isa.Ret}, {Op: isa.Call, Target: 1}}, 8),
+		// Out-of-range transfers to pc+1, which are not redirects.
+		rawProgram([]isa.Instr{{Op: isa.Jmp, Target: 1}, {Op: isa.MovI, A: 1, Imm: 7}}, 8),
+		rawProgram([]isa.Instr{{Op: isa.Jmp, Target: 1}, {Op: isa.Br, Cond: isa.Ne, A: 1, B: 1, Target: 0}}, 8),
+		rawProgram([]isa.Instr{{Op: isa.MovI, A: 1, Imm: 99}, {Op: isa.Load, A: 2, B: 1}}, 8),
+		rawProgram([]isa.Instr{{Op: isa.MovI, A: 1, Imm: 1}, {Op: isa.JmpInd, A: 1}}, 8),
+		rawProgram([]isa.Instr{{Op: isa.Jmp, Target: 1}, {Op: isa.Add, A: 40, B: 1, C: 2}}, 8),
+		rawProgram([]isa.Instr{{Op: isa.Jmp, Target: 1}, {Op: isa.Halt}}, 8))
+	var faultRedirects, plainFaults int
+	for i, p := range progs {
+		for _, chunk := range []int64{1, 7, 1_000, 1 << 40} {
+			tag := fmt.Sprintf("%d/%s/chunk%d", i, p.Name, chunk)
+			m := New(p)
+			muted := &recorder{}
+			m.SetSink(muted)
+			ref := newRef(p)
+			for !m.Halted && m.Steps < 50_000 {
+				from := m.Steps
+				redirs, faultRedir, err := m.RunMuted(m.Steps + chunk)
+				if err == ErrStepLimit {
+					err = nil
+				}
+				before := len(ref.rec.evs)
+				// Count the reference's completed steps that left the
+				// fall-through, stepping it to the same step count.
+				var taken int64
+				for ref.err == nil && !ref.m.Halted && ref.m.Steps < m.Steps {
+					pc := ref.m.PC
+					if ref.err = ref.m.Step(); ref.err == nil && !ref.m.Halted && ref.m.PC != pc+1 {
+						taken++
+					}
+				}
+				if err != nil && ref.err == nil && !ref.m.Halted {
+					// A bad-register fault leaves Steps where it was.
+					ref.err = ref.m.Step()
+				}
+				var evRedirs int64
+				for _, ev := range ref.rec.evs[before:] {
+					if ev.Target != ev.PC+1 {
+						evRedirs++
+					}
+				}
+				if ok, why := sameStepErr(err, ref.err); !ok {
+					t.Fatalf("%s at %d: errors diverge (%s): muted=%v reference=%v", tag, from, why, err, ref.err)
+				}
+				compareState(t, tag, m, ref.m)
+				if redirs != evRedirs {
+					t.Fatalf("%s at %d: %d redirects, reference events %d", tag, from, redirs, evRedirs)
+				}
+				want := redirs
+				if faultRedir {
+					want--
+				}
+				if want != taken {
+					t.Fatalf("%s at %d: %d redirects (fault redirect %v), reference took %d transfers", tag, from, redirs, faultRedir, taken)
+				}
+				if faultRedir {
+					faultRedirects++
+				} else if err != nil {
+					plainFaults++
+				}
+				if err != nil {
+					break
+				}
+			}
+			if len(muted.evs) != 0 {
+				t.Fatalf("%s: RunMuted delivered %d events to a muted sink", tag, len(muted.evs))
+			}
+		}
+	}
+	if faultRedirects == 0 || plainFaults == 0 {
+		t.Errorf("corpus ended %d runs on a redirecting transfer fault and %d on other faults, want some of each", faultRedirects, plainFaults)
+	}
+}

@@ -222,12 +222,23 @@ func (m *Machine) SetListener(l Listener) {
 
 // SetFaultHook installs the fault-injection hook (nil disables injection).
 // A non-nil hook routes Run through the per-step slow path so the hook is
-// consulted before every instruction, exactly as Step does.
+// consulted before every instruction, exactly as Step does. The batched
+// loops (RunToYield, RunTrace, RunMuted) never consult it: a caller that
+// drives them bounds each run at its next injection step and delivers the
+// fault with Inject instead.
 func (m *Machine) SetFaultHook(h FaultHook) { m.faultHook = h }
 
-// HasFaultHook reports whether a fault-injection hook is installed. Dynamo
-// uses it to pick the per-step steppers over the batched loops.
-func (m *Machine) HasFaultHook() bool { return m.faultHook != nil }
+// Inject delivers an injected fault at the current instruction boundary
+// exactly as Step's fault-hook path does: the machine halts, the fault is
+// counted and observed, and err is returned. The instruction at m.PC does
+// not execute and m.Steps does not move.
+//
+//netpathvet:cold
+func (m *Machine) Inject(err error) error {
+	m.Halted = true
+	m.noteFaultErr(err)
+	return err
+}
 
 // FaultObserver is notified once per delivered fault with the kind and the
 // faulting guest PC. It runs on the failure path only — never per
@@ -287,18 +298,16 @@ func (m *Machine) memAddr(base int64, off int64) (int, error) {
 // faults halt the machine. Step never panics, even on hand-assembled
 // programs that bypass prog.Validate.
 func (m *Machine) Step() error {
-	if m.legacy {
-		return m.stepSwitch()
-	}
 	if m.Halted {
 		return ErrHalted
 	}
 	if m.faultHook != nil {
 		if err := m.faultHook(m); err != nil {
-			m.Halted = true
-			m.noteFaultErr(err)
-			return err
+			return m.Inject(err)
 		}
+	}
+	if m.legacy {
+		return m.stepSwitch()
 	}
 	pc := m.PC
 	if uint(pc) >= uint(len(m.ops)) {
@@ -356,18 +365,9 @@ func (m *Machine) settleExec(pc, npc int) error {
 
 // stepSwitch is the original switch-based decoder, retained as the legacy
 // engine (EngineLegacy) and as the reference semantics the predecoded
-// engine is differentially tested against.
+// engine is differentially tested against. Step has already checked that
+// the machine runs and consulted the fault hook.
 func (m *Machine) stepSwitch() error {
-	if m.Halted {
-		return ErrHalted
-	}
-	if m.faultHook != nil {
-		if err := m.faultHook(m); err != nil {
-			m.Halted = true
-			m.noteFaultErr(err)
-			return err
-		}
-	}
 	pc := m.PC
 	if pc < 0 || pc >= len(m.Prog.Instrs) {
 		return m.fault(FaultBadPC, "vm: pc %d outside program [0,%d)", pc, len(m.Prog.Instrs))
