@@ -10,13 +10,10 @@ import (
 	"sync"
 	"testing"
 
-	"netpath/internal/balllarus"
-	"netpath/internal/bittrace"
 	"netpath/internal/boa"
 	"netpath/internal/branchpred"
 	"netpath/internal/dynamo"
 	"netpath/internal/experiments"
-	"netpath/internal/kpath"
 	"netpath/internal/metrics"
 	"netpath/internal/par"
 	"netpath/internal/predict"
@@ -290,70 +287,6 @@ func BenchmarkPathProfileReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		metrics.Evaluate(pr, hs, predict.NewPathProfile(50), 50)
-	}
-}
-
-// BenchmarkBallLarus measures Ball-Larus chord-instrumented profiling of a
-// full workload run.
-func BenchmarkBallLarus(b *testing.B) {
-	bm, err := workload.ByName("deltablue")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := bm.Build(benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := balllarus.Profile(p, true, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBitTrace measures bit-tracing path profiling of a full run.
-func BenchmarkBitTrace(b *testing.B) {
-	bm, err := workload.ByName("deltablue")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := bm.Build(benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bittrace.Profile(p, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKPathExact and BenchmarkKPathLazy compare Young-Smith k-bounded
-// profiling with materialized keys vs the lazy rolling hash.
-func BenchmarkKPathExact(b *testing.B) {
-	benchKPath(b, false)
-}
-
-func BenchmarkKPathLazy(b *testing.B) {
-	benchKPath(b, true)
-}
-
-func benchKPath(b *testing.B, lazy bool) {
-	bm, err := workload.ByName("deltablue")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := bm.Build(benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := kpath.Profile(p, 8, lazy, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 
+	"netpath/internal/dataflow"
 	"netpath/internal/dynamo"
 	"netpath/internal/workload"
 )
@@ -117,10 +118,10 @@ func checkOne(name string, scale float64, tau, thresh int64) (*checkEntry, error
 		return nil, err
 	}
 	e := &checkEntry{Name: name}
-	// Analyze through dynamo's memo: the tier-2 workers then find the facts
-	// ready instead of holding the first compile for the analysis, which on
-	// a short run can land after the run has ended.
-	facts := dynamo.ProgramFacts(p)
+	// Analyze through the shared memo: the tier-2 workers then find the
+	// facts ready instead of holding the first compile for the analysis,
+	// which on a short run can land after the run has ended.
+	facts := dataflow.ProgramFacts(p)
 	if facts == nil {
 		return nil, fmt.Errorf("%s: dataflow analysis failed", name)
 	}

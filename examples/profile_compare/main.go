@@ -1,9 +1,15 @@
-// Profile compare: the three path profiling substrates of Section 2 on one
-// program — Ball–Larus numbering (naive and chord-instrumented), bit
-// tracing, and Young–Smith k-bounded general paths — with their runtime
-// operation counts side by side. The operation counts are the concrete
-// content of the paper's overhead argument: bit tracing works per branch,
-// Ball–Larus per chord, NET (for contrast) only per path head.
+// Profile compare: the paper's overhead argument read off the engine that
+// produces Figure 5. One program runs under mini-Dynamo with NET and with
+// path-profile-based prediction, each configured as its Figure 5 cell, and
+// the run's own event counts give the profiling work each scheme did: NET
+// touches one counter per interpreted path head, path profiling shifts a
+// history bit per conditional branch, appends per indirect branch and
+// updates the path table per interpreted path. The oracle profile gives the
+// counter space each scheme needs: one counter per head against one per
+// distinct path.
+//
+// The example exits non-zero if path profiling does not do more profiling
+// work per guest step than NET.
 //
 //	go run ./examples/profile_compare
 package main
@@ -12,86 +18,61 @@ import (
 	"fmt"
 	"log"
 
-	"netpath/internal/balllarus"
-	"netpath/internal/bittrace"
-	"netpath/internal/kpath"
+	"netpath/internal/dynamo"
+	"netpath/internal/experiments"
 	"netpath/internal/profile"
 	"netpath/internal/workload"
+)
+
+const (
+	bench = "deltablue"
+	scale = 0.2
+	tau   = 50
 )
 
 func main() {
 	log.SetFlags(0)
 
-	b, err := workload.ByName("deltablue")
+	b, err := workload.ByName(bench)
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := b.Build(0.2)
+	p, err := b.Build(scale)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("program: %s, %d instructions\n\n", p.Name, p.Len())
+	fmt.Printf("program: %s (scale %g), %d instructions, τ=%d\n\n", p.Name, scale, p.Len(), tau)
 
-	// Oracle forward-path profile (the reference).
+	run := func(s dynamo.Scheme) dynamo.Result {
+		res, err := dynamo.New(p, experiments.Fig5Config(s, tau)).Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+	net, pp := run(dynamo.SchemeNET), run(dynamo.SchemePathProfile)
+	perK := func(ops, steps int64) float64 { return 1000 * float64(ops) / float64(steps) }
+	netOps := net.HeadCounterHits
+	ppOps := pp.BitShifts + pp.IndAppends + pp.PathTableUpdates
+	netRate, ppRate := perK(netOps, net.Steps), perK(ppOps, pp.Steps)
+
+	fmt.Println("profiling operations per 1k guest steps:")
+	fmt.Printf("  NET          %8.2f  (%d head-counter hits over %d steps)\n",
+		netRate, netOps, net.Steps)
+	fmt.Printf("  PathProfile  %8.2f  (%d bit shifts + %d indirect appends + %d path-table updates over %d steps)\n",
+		ppRate, pp.BitShifts, pp.IndAppends, pp.PathTableUpdates, pp.Steps)
+
 	pr, err := profile.Collect(p, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("forward paths:  %7d distinct, %9d executions, %5d heads\n",
-		pr.NumPaths(), pr.Flow, pr.UniqueHeads())
+	fmt.Println("\ncounter space (oracle profile):")
+	fmt.Printf("  NET          %8d  unique path heads\n", pr.UniqueHeads())
+	fmt.Printf("  PathProfile  %8d  distinct paths\n", pr.NumPaths())
 
-	// Bit tracing: per-branch shifts, per-path table updates; must agree
-	// with the oracle exactly.
-	bt, err := bittrace.Profile(p, 0)
-	if err != nil {
-		log.Fatal(err)
+	if ppRate <= netRate {
+		log.Fatalf("profile_compare: path profiling did %.2f ops per 1k steps, not more than NET's %.2f",
+			ppRate, netRate)
 	}
-	if bad := bt.CrossCheck(pr); bad != "" {
-		log.Fatalf("bit tracing diverged from oracle at %s", bad)
-	}
-	fmt.Printf("bit tracing:    %7d distinct — ops: %d shifts, %d appends, %d table updates\n",
-		bt.NumPaths(), bt.Ops.Shifts, bt.Ops.Appends, bt.Ops.TableUpdates)
-
-	// Ball–Larus: static numbering per function, chords only at runtime.
-	naive, err := balllarus.Profile(p, false, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opt, err := balllarus.Profile(p, true, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var funcs, skipped int
-	var chords, edges int
-	for fi, num := range opt.Numberings {
-		if num == nil {
-			skipped++
-			continue
-		}
-		funcs++
-		chords += num.Chords()
-		edges += num.NumEdges()
-		_ = fi
-	}
-	fmt.Printf("Ball-Larus:     %d/%d functions numbered (%d with indirect jumps skipped)\n",
-		funcs, len(p.Funcs), skipped)
-	fmt.Printf("                naive: %d register ops; chord-instrumented: %d register ops (%d chords of %d edges)\n",
-		naive.RegisterOps, opt.RegisterOps, chords, edges)
-	fmt.Printf("                %d path-table updates under both placements\n", opt.CountOps)
-
-	// Young–Smith k-bounded general paths: a FIFO over the last k branches;
-	// the lazy rolling hash gives O(1) updates.
-	exact, err := kpath.Profile(p, 8, false, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lazy, err := kpath.Profile(p, 8, true, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("k-bounded (k=8): %6d distinct windows, %d updates (lazy mode agrees: %v)\n",
-		exact.NumPaths(), exact.Updates, exact.NumPaths() == lazy.NumPaths())
-
-	fmt.Println("\nevery scheme above does work per branch or per path; NET prediction needs")
-	fmt.Printf("only %d head counters — see examples/quickstart.\n", pr.UniqueHeads())
+	fmt.Printf("\npath profiling does %.1fx NET's profiling work per step\n", ppRate/netRate)
 }

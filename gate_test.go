@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"netpath/internal/benchjson"
+	"netpath/internal/dataflow"
 	"netpath/internal/dynamo"
 	"netpath/internal/isa"
 	"netpath/internal/path"
@@ -379,7 +380,7 @@ func TestGuardElisionGate(t *testing.T) {
 		// before either starts. Cold, the first compile waits for the
 		// analysis on the worker, and the ~50 ms run can end before any
 		// superblock is published (DESIGN.md §16).
-		if dynamo.ProgramFacts(p) == nil {
+		if dataflow.ProgramFacts(p) == nil {
 			t.Fatalf("%s: dataflow analysis failed", name)
 		}
 		plain, _ := guardRate(p, false)

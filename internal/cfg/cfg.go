@@ -1,12 +1,13 @@
 // Package cfg builds intraprocedural control-flow graphs for the functions
-// of a program and provides the standard analyses the profiling substrates
-// need: reverse postorder, dominators, back edges, and natural loops.
+// of a program and provides the standard analyses the verifier, the static
+// predictor and the dataflow framework need: reverse postorder, dominators,
+// back edges, and natural loops.
 //
 // Nodes are the basic blocks of one function plus two virtual nodes, Entry
 // and Exit. A call instruction is treated as falling through to its
 // continuation (the callee is a separate graph); returns and halts edge to
 // Exit. Indirect jumps have no static successors; functions containing them
-// are flagged (Ball–Larus numbering requires a static CFG and rejects them).
+// are flagged, since their successor sets are incomplete.
 package cfg
 
 import (
@@ -69,20 +70,49 @@ func Build(p *prog.Program, fi int) (*Graph, error) {
 	if fi < 0 || fi >= len(p.Funcs) {
 		return nil, fmt.Errorf("cfg: function index %d out of range", fi)
 	}
-	f := p.Funcs[fi]
-	g := &Graph{Prog: p, Func: fi}
-	n := 2
+	return build(p, fi, blockOfs(p)[fi]), nil
+}
+
+// BuildAll builds CFGs for every function of p. The blocks are bucketed by
+// function once, so the whole program costs one pass over its blocks, not
+// one per function.
+func BuildAll(p *prog.Program) ([]*Graph, error) {
+	lists := blockOfs(p)
+	out := make([]*Graph, len(p.Funcs))
+	for fi := range p.Funcs {
+		out[fi] = build(p, fi, lists[fi])
+	}
+	return out, nil
+}
+
+// blockOfs returns each function's BlockOf list: the -1 placeholders of
+// Entry and Exit, then the function's blocks in ascending order. One pass
+// counts the blocks per function and one places them into lists carved
+// out of a single array.
+func blockOfs(p *prog.Program) [][]int {
+	counts := make([]int, len(p.Funcs))
 	for _, b := range p.Blocks {
-		if b.Func == fi {
-			n++
+		if b.Func >= 0 && b.Func < len(counts) {
+			counts[b.Func]++
 		}
 	}
-	g.BlockOf = append(make([]int, 0, n), -1, -1)
+	lists, arr := make([][]int, len(p.Funcs)), make([]int, len(p.Blocks)+2*len(p.Funcs))
+	for fi, c := range counts {
+		lists[fi], arr = append(arr[:0:c+2], -1, -1), arr[c+2:]
+	}
 	for bi, b := range p.Blocks {
-		if b.Func == fi {
-			g.BlockOf = append(g.BlockOf, bi)
+		if b.Func >= 0 && b.Func < len(lists) {
+			lists[b.Func] = append(lists[b.Func], bi)
 		}
 	}
+	return lists
+}
+
+// build builds the CFG of function fi, whose BlockOf list is blockOf.
+func build(p *prog.Program, fi int, blockOf []int) *Graph {
+	f := p.Funcs[fi]
+	g := &Graph{Prog: p, Func: fi, BlockOf: blockOf}
+	n := len(blockOf)
 	entryNode, _ := g.NodeOf(p.BlockAt(f.Entry))
 	edges := func(add func(from, to Node)) {
 		add(Entry, entryNode)
@@ -128,7 +158,7 @@ func Build(p *prog.Program, fi int) (*Graph, error) {
 	g.computeRPO()
 	g.computeDominators()
 	g.numberDomTree()
-	return g, nil
+	return g
 }
 
 // carve returns one empty list per count, each with exactly that capacity,
@@ -378,17 +408,4 @@ func (g *Graph) NaturalLoops() []Loop {
 		}
 	}
 	return loops
-}
-
-// BuildAll builds CFGs for every function of p.
-func BuildAll(p *prog.Program) ([]*Graph, error) {
-	out := make([]*Graph, len(p.Funcs))
-	for fi := range p.Funcs {
-		g, err := Build(p, fi)
-		if err != nil {
-			return nil, err
-		}
-		out[fi] = g
-	}
-	return out, nil
 }

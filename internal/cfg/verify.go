@@ -202,16 +202,8 @@ func verify(p *prog.Program, check funcCheck) *Report {
 		}
 	}
 
-	for fi := range p.Funcs {
-		f := p.Funcs[fi]
-		g, err := Build(p, fi)
-		if err != nil {
-			r.Issues = append(r.Issues, Issue{
-				Class: ClassStructure, Severity: SeverityError,
-				Addr: f.Entry, Func: f.Name, Msg: err.Error(),
-			})
-			continue
-		}
+	graphs, _ := BuildAll(p) // never fails: every function index is in range
+	for fi, g := range graphs {
 		check(p, fi, g, r, callTargets, hasCallInd)
 	}
 	// Total order, then dedup. The per-function analyses can legitimately

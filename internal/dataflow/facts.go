@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"netpath/internal/cfg"
 	"netpath/internal/isa"
@@ -231,10 +232,37 @@ func buildEntryModel(p *prog.Program, graphs []*cfg.Graph) entryModel {
 	return m
 }
 
+// analyses counts Analyze calls, so tests can check that the program's
+// consumers share one analysis.
+var analyses atomic.Int64
+
+// factsMemo memoizes Analyze by program identity. A program whose analysis
+// fails is memoized as nil: callers degrade to fact-free compilation,
+// validation and prediction.
+var factsMemo = prog.NewMemo[*Facts]()
+
+// ProgramFacts returns the memoized whole-program facts for p, or nil if the
+// analysis failed (a verified program always analyzes; nil is pure
+// defense). It is the one memo every consumer reads: the static predictor,
+// dynamo's tier-2 compile workers and pathdump's check. A caller that
+// analyzes a program through it before running it spares the first tier-2
+// compile the analysis: otherwise that compile waits for Analyze, and a
+// short run can end before any superblock lands.
+func ProgramFacts(p *prog.Program) *Facts {
+	return factsMemo.Do(p, func(p *prog.Program) *Facts {
+		f, err := Analyze(p)
+		if err != nil {
+			return nil
+		}
+		return f
+	})
+}
+
 // Analyze validates p, builds its CFGs, runs every lattice to fixpoint and
 // distills the per-instruction facts. The program must already be frozen
 // (fingerprinted); Analyze does not mutate it.
 func Analyze(p *prog.Program) (*Facts, error) {
+	analyses.Add(1)
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("dataflow: program invalid: %w", err)
 	}

@@ -236,7 +236,7 @@ func (c *Tier2Compiler) compile(j *t2Job) {
 	traceStart := j.tr.Now()
 	var facts *dataflow.Facts
 	if j.elide || j.validate {
-		facts = ProgramFacts(j.prog) // memoized; nil only on analysis failure
+		facts = dataflow.ProgramFacts(j.prog) // memoized; nil only on analysis failure
 	}
 	var sb *vm.Superblock
 	var stats vm.SBStats

@@ -14,14 +14,14 @@
 // When Config.Tier2Elide is set, the whole-program dataflow analysis
 // (internal/dataflow.Analyze) feeds the superblock compiler: memory accesses
 // proven in-bounds lower to check-free fused handlers and branches the
-// analysis decided compile to nothing. The analysis runs at most once per
-// resident program — on a background compile worker, never the mutator —
-// and is memoized exactly like the CFG verifier's verdicts.
+// analysis decided compile to nothing. The compile workers read the facts
+// from dataflow.ProgramFacts, the memo the static predictor also reads, so
+// the analysis runs at most once per resident program, and on a background
+// worker unless the static scheme already ran it at load time.
 package dynamo
 
 import (
 	"netpath/internal/dataflow"
-	"netpath/internal/prog"
 	"netpath/internal/telemetry"
 	"netpath/internal/vm"
 )
@@ -32,27 +32,6 @@ var (
 	telT2ValidateRejects = telemetry.NewCounter("dynamo_tier2_validator_rejects_total",
 		"tier-2 superblocks refused publication by the translation validator")
 )
-
-// factsCache memoizes dataflow.Analyze by program identity, under the same
-// bounds as verifyCache. A program whose analysis fails is cached as nil:
-// callers degrade to fact-free compilation and validation.
-var factsCache = newProgMemo[*dataflow.Facts]()
-
-// ProgramFacts returns the memoized whole-program dataflow facts for p, or
-// nil if the analysis failed (a verified program always analyzes; nil is
-// pure defense). It is the memo the tier-2 compile workers read, so a
-// caller that analyzes a program through it before running it spares the
-// first compile the analysis: otherwise that compile waits for
-// dataflow.Analyze, and a short run can end before any superblock lands.
-func ProgramFacts(p *prog.Program) *dataflow.Facts {
-	return factsCache.do(p, func(p *prog.Program) *dataflow.Facts {
-		f, err := dataflow.Analyze(p)
-		if err != nil {
-			return nil
-		}
-		return f
-	})
-}
 
 // sbFactsFor adapts dataflow facts to the superblock compiler's narrow
 // interface.

@@ -10,8 +10,6 @@
 package dynamo
 
 import (
-	"sync"
-
 	"netpath/internal/cfg"
 	"netpath/internal/dataflow"
 	"netpath/internal/isa"
@@ -19,79 +17,15 @@ import (
 	"netpath/internal/staticpred"
 )
 
-// Bounds of the per-program memos (verifier verdicts, dataflow facts). A
-// resident server verifies an endless stream of fresh programs, and an
-// unbounded memo would both leak and pin every submitted program against
-// garbage collection. An entry bound alone is not enough: 4096 quota-sized
-// programs pin gigabytes, so the memos are bounded by the words their
-// programs retain (prog.Program.Footprint) as well. The nine benchmarks of
-// an experiment grid retain about 105K words, far inside both bounds.
-const (
-	memoMaxEntries = 4096
-	memoMaxWords   = 1 << 21
-)
-
-// progMemo memoizes a per-program result by program identity. Programs are
-// immutable after Freeze, so pointer identity is a sound key and staleness
-// is impossible. Eviction is FIFO: crossing either bound drops the oldest
-// entries until both hold again, so a burst of fresh programs evicts the
-// burst's predecessors rather than a grid's whole working set.
-type progMemo[V any] struct {
-	mu    sync.Mutex
-	m     map[*prog.Program]V
-	order []*prog.Program // insertion order, for FIFO eviction
-	words int             // sum of Footprint over order
-}
-
-func newProgMemo[V any]() *progMemo[V] {
-	return &progMemo[V]{m: make(map[*prog.Program]V)}
-}
-
-// do returns the memoized result for p, computing it with f (outside the
-// lock) on a miss. Two racing misses both compute; the results agree.
-func (c *progMemo[V]) do(p *prog.Program, f func(*prog.Program) V) V {
-	c.mu.Lock()
-	v, ok := c.m[p]
-	c.mu.Unlock()
-	if ok {
-		return v
-	}
-	v = f(p)
-	c.put(p, v)
-	return v
-}
-
-// put records v for p and evicts the oldest entries until both bounds hold.
-// The newest entry always stays, so even an oversized program is memoized
-// until the next insert.
-func (c *progMemo[V]) put(p *prog.Program, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[p]; ok {
-		c.m[p] = v
-		return
-	}
-	c.m[p] = v
-	c.order = append(c.order, p)
-	c.words += p.Footprint()
-	for len(c.order) > 1 && (len(c.order) > memoMaxEntries || c.words > memoMaxWords) {
-		old := c.order[0]
-		c.order[0] = nil // release the program to the collector
-		c.order = c.order[1:]
-		delete(c.m, old)
-		c.words -= old.Footprint()
-	}
-}
-
 // verifyCache memoizes Verify's verdicts.
-var verifyCache = newProgMemo[error]()
+var verifyCache = prog.NewMemo[error]()
 
 // Verify returns the static verifier's verdict for p (cfg.VerifyProgram),
 // computing it at most once per resident program. It is the gate New runs
 // at load time, so a caller that verifies a program and then hands the same
 // pointer to New pays for verification once.
 func Verify(p *prog.Program) error {
-	return verifyCache.do(p, cfg.VerifyProgram)
+	return verifyCache.Do(p, cfg.VerifyProgram)
 }
 
 // prebuildStatic populates the fragment cache from the static predictor's

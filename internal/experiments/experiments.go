@@ -363,6 +363,20 @@ func fig5Combos() []struct {
 var fig5Keys = []string{"NET10", "NET50", "NET100",
 	"PathProfile10", "PathProfile50", "PathProfile100", "Static0"}
 
+// Fig5Config is the configuration of one Figure 5 cell. The bail-out
+// heuristic belongs to the production system; the paper reports
+// path-profile slowdowns on every program the NET system processes, so the
+// comparison schemes (path-profile and static) run to completion. Only
+// NET's bail-outs define the figure's processed set — a comparison cell
+// that bailed would otherwise erase NET's measured speedup for that row.
+func Fig5Config(s dynamo.Scheme, tau int64) dynamo.Config {
+	cfg := dynamo.DefaultConfig(s, tau)
+	if s != dynamo.SchemeNET {
+		cfg.BailoutAfter = 0
+	}
+	return cfg
+}
+
 // RunFig5 executes the full Figure 5 grid: NET and path-profile at delays
 // 10/50/100 plus the static scheme at its fixed τ=0, over every benchmark.
 // Programs are built once per benchmark (in parallel), then every
@@ -386,17 +400,7 @@ func RunFig5(scale float64) (map[string][]Fig5Result, error) {
 		func(_ context.Context, cell int) (dynamo.Result, error) {
 			bi := cell / len(combos)
 			c := combos[cell%len(combos)]
-			cfg := dynamo.DefaultConfig(c.Scheme, c.Tau)
-			if c.Scheme != dynamo.SchemeNET {
-				// The bail-out heuristic belongs to the production
-				// system; the paper reports path-profile slowdowns on
-				// every program the NET system processes, so the
-				// comparison schemes (path-profile and static) run to
-				// completion. Only NET's bail-outs define the figure's
-				// processed set — a comparison cell that bailed would
-				// otherwise erase NET's measured speedup for that row.
-				cfg.BailoutAfter = 0
-			}
+			cfg := Fig5Config(c.Scheme, c.Tau)
 			sink := dynamoSink(&cfg)
 			res, err := dynamo.New(progs[bi], cfg).Run()
 			if err != nil {

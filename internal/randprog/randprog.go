@@ -6,9 +6,10 @@
 // loops, weighted indirect switches, direct and indirect calls.
 //
 // The test suites use it to cross-validate independent implementations:
-// the mini-Dynamo against plain interpretation, Ball–Larus chord
-// instrumentation against naive edge instrumentation, bit tracing against
-// the oracle profile, and the assembler round-trip.
+// every execution tier of the mini-Dynamo against plain interpretation,
+// PathProfile's profiling counters against the branch events of a plain
+// run, the static analyses against their reference implementations, and
+// the assembler round-trip.
 package randprog
 
 import (

@@ -120,9 +120,7 @@ func Analyze(p *prog.Program) (*Analysis, error) {
 	// Dataflow facts upgrade heuristics to proofs where the ranges decide a
 	// branch. A failed analysis (impossible on a verified program) just
 	// leaves the model purely heuristic.
-	if facts, err := dataflow.Analyze(p); err == nil {
-		a.facts = facts
-	}
+	a.facts = dataflow.ProgramFacts(p)
 	return a, nil
 }
 
