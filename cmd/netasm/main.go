@@ -20,7 +20,7 @@
 // analyze prints per-function dataflow facts — call-stack depth, proven
 // in-bounds memory accesses, statically decided branches — distilled from
 // the abstract-interpretation lattices in internal/dataflow (the same facts
-// the tier-2 guard elider and the translation validator consume). With -dot
+// the static predictor reads). With -dot
 // it instead emits each function's CFG as Graphviz DOT annotated with
 // register range intervals, address bounds proofs, and branch verdicts;
 // -fn restricts the DOT output to one function.

@@ -14,8 +14,8 @@ import (
 
 // checkEntry is one benchmark's static-analysis verdict: the dataflow facts
 // the analyzer proved, the translation validator's accept/reject tallies
-// across both tiers, and the measured guard-elision effect. The JSON form is
-// the CI artifact; the gate fails on any reject.
+// across both tiers, and the runtime checks tier 2 executed. The JSON form
+// is the CI artifact; the gate fails on any reject.
 type checkEntry struct {
 	Name string `json:"name"`
 
@@ -33,15 +33,12 @@ type checkEntry struct {
 	T2Compiled         int64 `json:"t2_compiled"`
 	T2ValidatorRejects int64 `json:"t2_validator_rejects"`
 
-	// Guard elision, and its measured effect. T2BoundsElided credits the
-	// blocks the run picked up; T2CompiledBoundsElided counts every block
-	// published, so it is complete once the compile queue is drained.
-	T2BoundsElided         int64   `json:"t2_bounds_elided"`
-	T2CompiledBoundsElided int64   `json:"t2_compiled_bounds_elided"`
-	T2GuardsImplied        int64   `json:"t2_guards_implied"`
-	T2GuardChecks          int64   `json:"t2_guard_checks"`
-	T2Instrs               int64   `json:"t2_instrs"`
-	GuardsPerStep          float64 `json:"guards_per_step"`
+	// Entry guards pruned as implied, and the runtime checks (guards plus
+	// bounds and successor checks) tier 2 executed per guest step.
+	T2GuardsImplied int64   `json:"t2_guards_implied"`
+	T2GuardChecks   int64   `json:"t2_guard_checks"`
+	T2Instrs        int64   `json:"t2_instrs"`
+	GuardsPerStep   float64 `json:"guards_per_step"`
 }
 
 // rejects is the gate condition: any refused translation fails the check.
@@ -52,9 +49,8 @@ func (e *checkEntry) rejects() int64 {
 // runCheck implements the check subcommand: the CI static-analysis gate.
 // Each benchmark runs under the full tiered mini-Dynamo with the translation
 // validator on (every tier-1 emit and tier-2 superblock proven against its
-// recorded guest sequence before installation) and facts-driven guard
-// elision enabled — the most aggressive configuration, so the validator is
-// checking exactly the translations production would run. The command exits
+// recorded guest sequence before installation), so the validator checks
+// exactly the translations production would run. The command exits
 // nonzero if any translation is rejected: on these deterministic workloads a
 // reject is a compiler bug, not an input anomaly.
 func runCheck(args []string, w io.Writer) error {
@@ -83,11 +79,11 @@ func runCheck(args []string, w io.Writer) error {
 		}
 		if !*jsonOut {
 			fmt.Fprintf(w,
-				"%-10s bounds=%d/%d decided=%d/%d  t1 checked=%d rejects=%d  t2 compiled=%d rejects=%d elided=%d implied=%d  guards/step=%.3f\n",
+				"%-10s bounds=%d/%d decided=%d/%d  t1 checked=%d rejects=%d  t2 compiled=%d rejects=%d implied=%d  guards/step=%.3f\n",
 				e.Name, e.BoundsProven, e.BoundsTotal, e.BranchesDecided, e.BranchesTotal,
 				e.ValidatorChecked, e.ValidatorRejects,
 				e.T2Compiled, e.T2ValidatorRejects,
-				e.T2BoundsElided, e.T2GuardsImplied, e.GuardsPerStep)
+				e.T2GuardsImplied, e.GuardsPerStep)
 		}
 	}
 	if *jsonOut {
@@ -107,7 +103,8 @@ func runCheck(args []string, w io.Writer) error {
 
 // checkOne analyzes and runs one benchmark. The tier-2 compiler gets its own
 // queue so the drain condition below is exact: every successful enqueue
-// (Result.T2Promotions) ends as exactly one compile or rejection.
+// (Result.T2Promotions) ends as exactly one compile or rejection. The fact
+// counts describe the program; the run itself never reads them.
 func checkOne(name string, scale float64, tau, thresh int64) (*checkEntry, error) {
 	b, err := workload.ByName(name)
 	if err != nil {
@@ -118,9 +115,6 @@ func checkOne(name string, scale float64, tau, thresh int64) (*checkEntry, error
 		return nil, err
 	}
 	e := &checkEntry{Name: name}
-	// Analyze through the shared memo: the tier-2 workers then find the
-	// facts ready instead of holding the first compile for the analysis,
-	// which on a short run can land after the run has ended.
 	facts := dataflow.ProgramFacts(p)
 	if facts == nil {
 		return nil, fmt.Errorf("%s: dataflow analysis failed", name)
@@ -133,7 +127,6 @@ func checkOne(name string, scale float64, tau, thresh int64) (*checkEntry, error
 	cfg := dynamo.DefaultConfig(dynamo.SchemeNET, tau)
 	cfg.Tier2 = tc
 	cfg.Tier2Threshold = thresh
-	cfg.Tier2Elide = true
 	cfg.ValidateEmits = true
 	res, err := dynamo.New(p, cfg).Run()
 	if err != nil {
@@ -148,8 +141,6 @@ func checkOne(name string, scale float64, tau, thresh int64) (*checkEntry, error
 	e.ValidatorRejects = res.ValidatorRejects
 	e.T2Compiled = tc.Compiled()
 	e.T2ValidatorRejects = tc.ValidatorRejected()
-	e.T2BoundsElided = res.T2BoundsElided
-	e.T2CompiledBoundsElided = tc.BoundsElided()
 	e.T2GuardsImplied = res.T2GuardsImplied
 	e.T2GuardChecks = res.T2GuardChecks
 	e.T2Instrs = res.T2Instrs

@@ -9,7 +9,7 @@ import (
 
 // TestCheckCleanBenchmark runs the static-analysis gate end to end on one
 // small benchmark: the validator must check translations at both tiers and
-// reject none, and elision must do measurable work.
+// reject none.
 func TestCheckCleanBenchmark(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"check", "-scale", "0.05", "-json", "deltablue"}, &buf); err != nil {
@@ -40,11 +40,6 @@ func TestCheckCleanBenchmark(t *testing.T) {
 	if e.BoundsProven == 0 || e.BoundsProven != e.BoundsTotal {
 		t.Errorf("bounds proven %d/%d, want full coverage on deltablue",
 			e.BoundsProven, e.BoundsTotal)
-	}
-	// The run's own count depends on whether it picked up a published
-	// block before it ended; the compiler's is complete after the drain.
-	if e.T2CompiledBoundsElided == 0 {
-		t.Error("guard elision dropped no bounds checks")
 	}
 }
 

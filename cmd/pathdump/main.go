@@ -23,8 +23,8 @@
 //
 // The check subcommand is the static-analysis gate: it runs each benchmark
 // (default: all of them) under the tiered mini-Dynamo with the translation
-// validator and statically-proven guard elision enabled, reporting the
-// dataflow facts, validator verdicts, and guards-executed-per-step, and
+// validator enabled, reporting the dataflow facts, validator verdicts, and
+// guards-executed-per-step, and
 // exits nonzero if any tier-1 or tier-2 translation is rejected. -json
 // emits the report as the machine-readable CI artifact.
 //

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"netpath/internal/benchjson"
-	"netpath/internal/dataflow"
 	"netpath/internal/dynamo"
 	"netpath/internal/isa"
 	"netpath/internal/path"
@@ -325,72 +324,5 @@ func TestTraceSampledOutZeroAllocGate(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("sampled-out trace path: %v allocs/op, must be 0", n)
-	}
-}
-
-// TestGuardElisionGate pins the headline effect of the static-analysis
-// work: on the two benchmarks whose inner loops are dominated by masked
-// array walks (compress, ijpeg), turning on facts-driven guard elision must
-// measurably drop the guards-executed-per-tier-2-step rate, with the
-// translation validator confirming every published superblock. The rate is
-// a ratio internal to tier 2, so it is stable across runs even though how
-// many steps tier 2 covers varies with compile timing (measured spread
-// under 0.3%; the asserted margin is 5%).
-func TestGuardElisionGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full tiered benchmark runs")
-	}
-	const scale = 0.2
-	guardRate := func(p *prog.Program, elide bool) (float64, dynamo.Result) {
-		name := p.Name
-		tc := dynamo.NewTier2Compiler(1, 256)
-		defer tc.Close()
-		cfg := dynamo.DefaultConfig(dynamo.SchemeNET, 50)
-		cfg.Tier2 = tc
-		cfg.Tier2Threshold = 8
-		cfg.Tier2Elide = elide
-		cfg.ValidateEmits = true
-		res, err := dynamo.New(p, cfg).Run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// Let in-flight compiles finish so the validator tally is final.
-		for tc.Compiled()+tc.Rejected() < res.T2Promotions {
-			runtime.Gosched()
-		}
-		if res.ValidatorRejects != 0 || tc.ValidatorRejected() != 0 {
-			t.Fatalf("%s: validator rejected translations (t1=%d t2=%d)",
-				name, res.ValidatorRejects, tc.ValidatorRejected())
-		}
-		if res.T2Instrs == 0 {
-			t.Fatalf("%s: tier 2 never dispatched", name)
-		}
-		return float64(res.T2GuardChecks) / float64(res.T2Instrs), res
-	}
-	for _, name := range []string{"compress", "ijpeg"} {
-		b, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := b.Build(scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Both runs share one program, and its dataflow facts are memoized
-		// before either starts. Cold, the first compile waits for the
-		// analysis on the worker, and the ~50 ms run can end before any
-		// superblock is published (DESIGN.md §16).
-		if dataflow.ProgramFacts(p) == nil {
-			t.Fatalf("%s: dataflow analysis failed", name)
-		}
-		plain, _ := guardRate(p, false)
-		elided, res := guardRate(p, true)
-		if res.T2BoundsElided == 0 {
-			t.Errorf("%s: elision proved no bounds checks removable", name)
-		}
-		if elided >= plain*0.95 {
-			t.Errorf("%s: guards/step did not drop: %.4f elided vs %.4f plain",
-				name, elided, plain)
-		}
 	}
 }

@@ -26,9 +26,8 @@ func (s *ConstState) kill(r uint8) {
 }
 
 // constTransferInstr applies one guest instruction, computing known values
-// with the machine's own ALU (isa.Eval) — the values it derives are later
-// used to justify guard elision, so any disagreement with execution would
-// be a miscompile.
+// with the machine's own ALU (isa.Eval), so a value it derives is the value
+// execution computes.
 func constTransferInstr(s *ConstState, in isa.Instr) {
 	switch d, ok := in.Def(); {
 	case in.Op == isa.Call || in.Op == isa.CallInd:

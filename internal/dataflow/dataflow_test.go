@@ -24,7 +24,7 @@ func enumerate(iv Interval) []int64 {
 // TestIntervalOpSoundness exhaustively checks, over a grid of small and
 // edge-case intervals, that every concrete result of each arithmetic op is
 // contained in the abstract result. This is the property everything above
-// (guard elision, branch deciding) rests on.
+// (bounds proofs, branch deciding) rests on.
 func TestIntervalOpSoundness(t *testing.T) {
 	ivs := []Interval{
 		Point(0), Point(1), Point(-1), Point(63), Point(64), Point(-3),
@@ -132,7 +132,7 @@ func TestCondDecide(t *testing.T) {
 
 // freshProgram is the paper benchmarks' hot-loop idiom: advance a cursor,
 // mask it into the data window, and load. The mask makes every load
-// provably in-bounds — the flagship guard-elision target.
+// provably in-bounds.
 func freshProgram(t testing.TB) *prog.Program {
 	t.Helper()
 	b := prog.NewBuilder("fresh")

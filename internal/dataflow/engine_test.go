@@ -187,7 +187,7 @@ func rangeWithin(a, b RangeState) bool {
 
 // TestRangeAnalysisReachesPostFixpoint: the range analysis converges on
 // every function of the nine benchmarks and of random programs, so the
-// facts guard elision reads come from a proven post-fixpoint.
+// facts it distills come from a proven post-fixpoint.
 func TestRangeAnalysisReachesPostFixpoint(t *testing.T) {
 	for _, b := range workload.All() {
 		p, err := b.Build(0.02)

@@ -33,8 +33,8 @@ func (k BranchKind) String() string {
 }
 
 // Facts is the distilled whole-program result of running every lattice:
-// per-instruction conclusions the compilers and validators consume, plus
-// the raw per-function solutions for introspection tooling.
+// per-instruction conclusions the static predictor and the tooling read,
+// plus the raw per-function solutions for introspection.
 type Facts struct {
 	Prog   *prog.Program
 	Graphs []*cfg.Graph
@@ -113,8 +113,7 @@ func (f *Facts) DecidedBranchCount() (decided, total int) {
 // entryModel captures every way control can enter a block that the
 // intraprocedural CFG has no edge for. Getting this set right is what
 // makes the whole analysis sound: a missed entry means a block analyzed
-// under too-strong assumptions, and a guard elided on those assumptions is
-// a miscompile.
+// under too-strong assumptions, and every fact derived from it is unsound.
 type entryModel struct {
 	// topEntry[fi] marks nodes of function fi whose in-state must include
 	// Top (all registers unknown).
@@ -237,17 +236,13 @@ func buildEntryModel(p *prog.Program, graphs []*cfg.Graph) entryModel {
 var analyses atomic.Int64
 
 // factsMemo memoizes Analyze by program identity. A program whose analysis
-// fails is memoized as nil: callers degrade to fact-free compilation,
-// validation and prediction.
+// fails is memoized as nil: callers degrade to fact-free prediction.
 var factsMemo = prog.NewMemo[*Facts]()
 
 // ProgramFacts returns the memoized whole-program facts for p, or nil if the
 // analysis failed (a verified program always analyzes; nil is pure
-// defense). It is the one memo every consumer reads: the static predictor,
-// dynamo's tier-2 compile workers and pathdump's check. A caller that
-// analyzes a program through it before running it spares the first tier-2
-// compile the analysis: otherwise that compile waits for Analyze, and a
-// short run can end before any superblock lands.
+// defense). It is the one memo the static predictor and pathdump's check
+// read. Neither tier compiles or validates against it.
 func ProgramFacts(p *prog.Program) *Facts {
 	return factsMemo.Do(p, func(p *prog.Program) *Facts {
 		f, err := Analyze(p)

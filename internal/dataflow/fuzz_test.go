@@ -9,14 +9,14 @@ import (
 )
 
 // FuzzValidateSuperblock is the differential check on the validator itself:
-// for random programs and random trace windows, compile a superblock with
-// facts-driven elision and run it through the validator. An accepted block
+// for random programs and random trace windows, compile a superblock and run
+// it through the validator. An accepted block
 // must be architecturally equivalent to stepping the interpreter — same
 // registers, PC, step count, memory, and fault behavior — from the exact
 // state the trace was recorded at. A rejection is allowed (the validator is
 // deliberately conservative), but it must be a clean error, never a panic.
 //
-// This is the property the whole tentpole rests on: ValidateEmits only
+// This is the property the validator rests on: ValidateEmits only
 // protects production if "validator accepts" really implies "translation is
 // correct". The seeded-miscompile unit tests check the reject direction;
 // this fuzzer hammers the accept direction.
@@ -58,18 +58,11 @@ func FuzzValidateSuperblock(f *testing.F) {
 			t.Skip()
 		}
 
-		facts, ferr := Analyze(p)
-		var sb *vm.Superblock
-		if ferr != nil {
-			facts = &Facts{Prog: p}
-			sb, _, err = vm.CompileSuperblock(spec, p.Len())
-		} else {
-			sb, _, err = vm.CompileSuperblockFacts(spec, p.Len(), sbFactsOf(facts))
-		}
+		sb, _, err := vm.CompileSuperblock(spec, p.Len())
 		if err != nil {
 			t.Skip() // compiler refusal (too short, unsupported op) is allowed
 		}
-		if err := ValidateSuperblock(facts, spec, sb); err != nil {
+		if err := ValidateSuperblock(p, spec, sb); err != nil {
 			t.Skip() // conservative rejection is allowed; panics are not
 		}
 

@@ -10,10 +10,9 @@ import (
 	"netpath/internal/workload"
 )
 
-// TestOneAnalysisPerProgram: the static predictor and the tier-2 compile
-// workers read the same facts memo, so a program analyzed through
-// staticpred and then compiled in tier 2 with bounds elision runs Analyze
-// once.
+// TestOneAnalysisPerProgram: a tier-2 compile never analyses the program,
+// even with every superblock validated, and the static predictor runs the
+// whole-program analysis once.
 func TestOneAnalysisPerProgram(t *testing.T) {
 	b, err := workload.ByName("compress")
 	if err != nil {
@@ -24,15 +23,12 @@ func TestOneAnalysisPerProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dataflow.Analyses()
-	if _, err := staticpred.Analyze(p); err != nil {
-		t.Fatal(err)
-	}
 	tc := dynamo.NewTier2Compiler(1, 256)
 	defer tc.Close()
 	cfg := dynamo.DefaultConfig(dynamo.SchemeNET, 50)
 	cfg.Tier2 = tc
 	cfg.Tier2Threshold = 4
-	cfg.Tier2Elide = true
+	cfg.ValidateEmits = true
 	res, err := dynamo.New(p, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +36,17 @@ func TestOneAnalysisPerProgram(t *testing.T) {
 	for tc.Compiled()+tc.Rejected() < res.T2Promotions {
 		runtime.Gosched()
 	}
-	if tc.BoundsElided() == 0 {
-		t.Fatal("tier 2 elided no bounds check: the compiles read no facts")
+	if tc.Compiled() == 0 {
+		t.Fatal("tier 2 compiled nothing: the run validated no superblock")
+	}
+	if tc.ValidatorRejected() != 0 {
+		t.Fatalf("validator rejected %d superblocks", tc.ValidatorRejected())
+	}
+	if n := dataflow.Analyses() - before; n != 0 {
+		t.Errorf("a validated tier-2 run ran Analyze %d times, want 0", n)
+	}
+	if _, err := staticpred.Analyze(p); err != nil {
+		t.Fatal(err)
 	}
 	if n := dataflow.Analyses() - before; n != 1 {
 		t.Errorf("Analyze ran %d times for one program, want 1", n)

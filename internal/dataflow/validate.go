@@ -3,8 +3,8 @@
 // The hot-path pipeline compiles twice: the tier-1 optimizer rewrites a
 // recorded trace into a fragment (eliminating instructions the emitted code
 // would not contain), and the tier-2 compiler lowers a fragment chain into a
-// superblock of host micro-ops, dropping guards and bounds checks the
-// dataflow analysis proved redundant. Both are translation steps, and both
+// superblock of host micro-ops, hoisting, pruning and dropping the guards
+// it finds redundant. Both are translation steps, and both
 // are validated here before anything is published: the validator re-derives
 // every claim from the guest instruction sequence itself, independently of
 // the compiler that made it. A compiled artifact whose effect on (registers,
@@ -17,14 +17,14 @@
 // proving at each op that the handler's fields spell exactly the guest
 // instruction, that every guest step the compiler skipped is individually
 // justified (structurally, by a still-live guard, or by the symbolic range
-// state), and that every elided bounds check re-proves from the entry state
-// the block's own guards admit.
+// state the block's own guards and instructions establish).
 package dataflow
 
 import (
 	"fmt"
 
 	"netpath/internal/isa"
+	"netpath/internal/prog"
 	"netpath/internal/vm"
 )
 
@@ -93,13 +93,6 @@ func (w *sbWalk) refineBranch(in isa.Instr, taken bool) {
 	}
 }
 
-// provenInBounds reports that the memory access base+imm is inside
-// [0, memSize) for every register state the walk admits.
-func (w *sbWalk) provenInBounds(base uint8, imm, memSize int64) bool {
-	addr := addIv(w.st.Reg[base], Point(imm))
-	return !addr.IsFull() && addr.Within(0, memSize-1)
-}
-
 // checkPath verifies a recorded guest sequence of n steps is a legal
 // execution path of the program: recorded instructions match the image,
 // successors are legal for each opcode, and consecutive steps chain. step
@@ -107,8 +100,7 @@ func (w *sbWalk) provenInBounds(base uint8, imm, memSize int64) bool {
 // fails here was corrupted between recording and compilation (or recorded
 // against a different program) — nothing downstream is meaningful. Tier-1
 // fragments and tier-2 superblock specs share this check.
-func checkPath(f *Facts, n int, step func(i int) (pc int, in isa.Instr, next int)) error {
-	p := f.Prog
+func checkPath(p *prog.Program, n int, step func(i int) (pc int, in isa.Instr, next int)) error {
 	for i := 0; i < n; i++ {
 		pc, in, next := step(i)
 		if pc < 0 || pc >= p.Len() {
@@ -120,7 +112,7 @@ func checkPath(f *Facts, n int, step func(i int) (pc int, in isa.Instr, next int
 		if in != p.Instrs[pc] {
 			return fmt.Errorf("step %d: recorded instruction at pc %d does not match program image", i, pc)
 		}
-		if err := legalSuccessor(f, in, pc, next); err != nil {
+		if err := legalSuccessor(p, in, pc, next); err != nil {
 			return fmt.Errorf("step %d: %w", i, err)
 		}
 		if i+1 < n {
@@ -136,8 +128,7 @@ func checkPath(f *Facts, n int, step func(i int) (pc int, in isa.Instr, next int
 // actually produce. For indirect transfers the target set is constrained by
 // the machine (block entries for JmpInd, function entries for CallInd,
 // return sites for Ret); anything else is a trace no execution produced.
-func legalSuccessor(f *Facts, in isa.Instr, pc, next int) error {
-	p := f.Prog
+func legalSuccessor(p *prog.Program, in isa.Instr, pc, next int) error {
 	switch in.Op {
 	case isa.Halt:
 		return fmt.Errorf("halt at pc %d cannot appear in a trace", pc)
@@ -279,14 +270,14 @@ func matchStraightFields(op *vm.SBOpInfo, in isa.Instr) error {
 }
 
 // ValidateSuperblock proves the compiled superblock sb architecturally
-// equivalent to per-step execution of the guest spec it was compiled from.
-// f supplies the program image and the whole-program range analysis used to
-// seed the entry state; sb's own hoisted guards refine it further. A nil
-// error means every micro-op was matched to its guest steps, every skipped
-// step was independently justified, and every elided check was re-proven.
-func ValidateSuperblock(f *Facts, spec []vm.SBStep, sb *vm.Superblock) error {
-	if f == nil || f.Prog == nil {
-		return fmt.Errorf("dataflow: validate superblock: no program facts")
+// equivalent to per-step execution of the guest spec it was compiled from,
+// a trace of program p. The walk assumes nothing about the entry state but
+// what sb's own hoisted guards admit. A nil error means every micro-op was
+// matched to its guest steps and every skipped step was independently
+// justified.
+func ValidateSuperblock(p *prog.Program, spec []vm.SBStep, sb *vm.Superblock) error {
+	if p == nil {
+		return fmt.Errorf("dataflow: validate superblock: no program")
 	}
 	n := len(spec)
 	if n == 0 {
@@ -295,7 +286,7 @@ func ValidateSuperblock(f *Facts, spec []vm.SBStep, sb *vm.Superblock) error {
 	if sb.NGuest() != n {
 		return fmt.Errorf("dataflow: validate superblock: covers %d guest steps, spec has %d", sb.NGuest(), n)
 	}
-	if err := checkPath(f, n, func(i int) (int, isa.Instr, int) {
+	if err := checkPath(p, n, func(i int) (int, isa.Instr, int) {
 		return int(spec[i].PC), spec[i].In, int(spec[i].Next)
 	}); err != nil {
 		return fmt.Errorf("dataflow: validate superblock: spec: %w", err)
@@ -304,14 +295,10 @@ func ValidateSuperblock(f *Facts, spec []vm.SBStep, sb *vm.Superblock) error {
 		return fmt.Errorf("dataflow: validate superblock: exit pc %d != recorded successor %d", got, want)
 	}
 
-	// Entry state: what the analysis knows at the head address, narrowed to
-	// the register states the hoisted entry guards admit. Executions the
-	// guards turn away never run the body, so assuming the guards here is
-	// exact, not optimistic.
+	// Entry state: any register state the hoisted entry guards admit.
+	// Executions the guards turn away never run the body, so assuming the
+	// guards here is exact, not optimistic.
 	w := &sbWalk{st: topRangeState(), facts: map[sbFact]bool{}}
-	if er, ok := f.EntryRange(int(spec[0].PC)); ok {
-		w.st = er
-	}
 	for _, g := range sb.Guards() {
 		if g.UseImm {
 			if na, _, ok := refineCond(w.st.Reg[g.A], Point(g.Imm), g.Cond, g.Want); ok {
@@ -326,11 +313,10 @@ func ValidateSuperblock(f *Facts, spec []vm.SBStep, sb *vm.Superblock) error {
 	}
 
 	ops := sb.Ops()
-	memSize := int64(f.Prog.MemSize)
 	oi := 0
 	for g := 0; g < n; {
 		if oi < len(ops) && int(ops[oi].Guest) == g {
-			consumed, err := checkOp(w, f, spec, &ops[oi], g, memSize)
+			consumed, err := checkOp(w, spec, &ops[oi], g)
 			if err != nil {
 				return fmt.Errorf("dataflow: validate superblock: op %d (guest %d, pc %d): %w", oi, g, spec[g].PC, err)
 			}
@@ -354,7 +340,7 @@ func ValidateSuperblock(f *Facts, spec []vm.SBStep, sb *vm.Superblock) error {
 
 // checkOp validates one micro-op against the guest step(s) it covers and
 // advances the walk. It returns the next uncovered guest index.
-func checkOp(w *sbWalk, f *Facts, spec []vm.SBStep, op *vm.SBOpInfo, g int, memSize int64) (int, error) {
+func checkOp(w *sbWalk, spec []vm.SBStep, op *vm.SBOpInfo, g int) (int, error) {
 	step := &spec[g]
 	in := step.In
 	if op.PC != step.PC {
@@ -390,9 +376,6 @@ func checkOp(w *sbWalk, f *Facts, spec []vm.SBStep, op *vm.SBOpInfo, g int, memS
 		}
 		if op.Next != step.Next {
 			return 0, fmt.Errorf("successor %d != recorded %d", op.Next, step.Next)
-		}
-		if op.NoCheck && !w.provenInBounds(in.B, in.Imm, memSize) {
-			return 0, fmt.Errorf("elided bounds check on %v not re-provable (base r%d in %v)", in.Op, in.B, w.st.Reg[in.B])
 		}
 		w.transfer(in)
 		return g + 1, nil
@@ -456,9 +439,6 @@ func checkOp(w *sbWalk, f *Facts, spec []vm.SBStep, op *vm.SBOpInfo, g int, memS
 		if err := matchStraightFields(op, in); err != nil {
 			return 0, err
 		}
-		if op.NoCheck && !w.provenInBounds(in.B, in.Imm, memSize) {
-			return 0, fmt.Errorf("elided load bounds check not re-provable (base r%d in %v)", in.B, w.st.Reg[in.B])
-		}
 		w.transfer(in)
 		st2, err := fused()
 		if err != nil {
@@ -492,11 +472,6 @@ func checkOp(w *sbWalk, f *Facts, spec []vm.SBStep, op *vm.SBOpInfo, g int, memS
 		}
 		if op.A2 != in2.A || op.B2 != in2.B || op.Imm2 != in2.Imm {
 			return 0, fmt.Errorf("fused store operand fields differ from guest")
-		}
-		// The store's address uses the post-ALU register state, which the
-		// walk has already applied.
-		if op.NoCheck && !w.provenInBounds(in2.B, in2.Imm, memSize) {
-			return 0, fmt.Errorf("elided store bounds check not re-provable (base r%d in %v)", in2.B, w.st.Reg[in2.B])
 		}
 		w.transfer(in2)
 		return int(op.Guest2) + 1, nil

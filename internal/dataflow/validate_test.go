@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"strings"
 	"testing"
 
 	"netpath/internal/isa"
@@ -28,196 +27,21 @@ func record(t *testing.T, m *vm.Machine, max int) []vm.SBStep {
 	return spec
 }
 
-// sbFactsOf adapts whole-program facts to the compiler's fact interface.
-func sbFactsOf(f *Facts) vm.SBFacts {
-	return vm.SBFacts{
-		InBounds: f.InBounds,
-		Decided: func(pc int32) (bool, bool) {
-			switch f.Branch(pc) {
-			case BranchAlwaysTaken:
-				return true, true
-			case BranchNeverTaken:
-				return false, true
-			}
-			return false, false
-		},
-	}
-}
-
-// TestValidateSuperblockFreshLoop is the end-to-end positive path: analyze,
-// compile with facts (the masked load's bounds check must elide), validate.
+// TestValidateSuperblockFreshLoop is the end-to-end positive path: record a
+// loop of masked loads, compile it, validate it.
 func TestValidateSuperblockFreshLoop(t *testing.T) {
 	p := freshProgram(t)
-	f, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
 	m := vm.New(p)
 	spec := record(t, m, 40)
 	if len(spec) < 10 {
 		t.Fatalf("recorded only %d steps", len(spec))
 	}
-	sb, stats, err := vm.CompileSuperblockFacts(spec, p.Len(), sbFactsOf(f))
+	sb, _, err := vm.CompileSuperblock(spec, p.Len())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if stats.BoundsElided == 0 {
-		t.Fatalf("masked load's bounds check not elided; stats %+v", stats)
-	}
-	if err := ValidateSuperblock(f, spec, sb); err != nil {
+	if err := ValidateSuperblock(p, spec, sb); err != nil {
 		t.Fatalf("validator rejected a correct superblock: %v", err)
-	}
-	// The same spec compiled without facts must also validate (no elisions
-	// to prove, strictly more runtime checks).
-	sbPlain, _, err := vm.CompileSuperblock(spec, p.Len())
-	if err != nil {
-		t.Fatalf("compile plain: %v", err)
-	}
-	if err := ValidateSuperblock(f, spec, sbPlain); err != nil {
-		t.Fatalf("validator rejected the unoptimized superblock: %v", err)
-	}
-	if sbPlain.BodyChecksAll() <= sb.BodyChecksAll() {
-		t.Errorf("elision did not reduce body checks: plain %d, elided %d",
-			sbPlain.BodyChecksAll(), sb.BodyChecksAll())
-	}
-}
-
-// TestValidateRejectsLyingBounds seeds a miscompile: a fact provider that
-// claims an unprovable load is in-bounds. The compiler believes it and
-// binds the check-free handler; the validator must catch it.
-func TestValidateRejectsLyingBounds(t *testing.T) {
-	b := prog.NewBuilder("lying")
-	b.SetMemSize(1024)
-	fn := b.Func("main")
-	fn.MovI(1, 0)
-	fn.Label("loop")
-	fn.AndI(1, 1, 63)
-	fn.Load(2, 1, 0) // masked base: this one is honestly provable
-	fn.Load(3, 2, 0) // base loaded from memory: nothing bounds it statically
-	fn.AddI(1, 1, 1)
-	fn.BrI(isa.Lt, 1, 50, "loop")
-	fn.Halt()
-	p := b.MustBuild()
-	f, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	m := vm.New(p)
-	spec := record(t, m, 30)
-
-	liar := vm.SBFacts{InBounds: func(int32) bool { return true }}
-	sb, stats, err := vm.CompileSuperblockFacts(spec, p.Len(), liar)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if stats.BoundsElided == 0 {
-		t.Fatal("test premise broken: lying facts elided nothing")
-	}
-	err = ValidateSuperblock(f, spec, sb)
-	if err == nil {
-		t.Fatal("validator accepted a superblock with an unjustified check-free load")
-	}
-	if !strings.Contains(err.Error(), "bounds") {
-		t.Errorf("rejection should name the elided bounds check, got: %v", err)
-	}
-}
-
-// TestValidateRejectsLyingDecided seeds the other miscompile: a provider
-// that claims an undecidable branch always goes the recorded way, so the
-// compiler drops its guard entirely.
-func TestValidateRejectsLyingDecided(t *testing.T) {
-	b := prog.NewBuilder("lyingbr")
-	b.SetMemSize(64)
-	fn := b.Func("main")
-	fn.MovI(1, 0)
-	fn.Label("loop")
-	fn.Load(2, 1, 0) // data-dependent value
-	fn.BrI(isa.Eq, 2, 0, "skip")
-	fn.AddI(3, 3, 1)
-	fn.Label("skip")
-	fn.AddI(1, 1, 1)
-	fn.AndI(1, 1, 63)
-	fn.BrI(isa.Lt, 4, 1, "loop")
-	fn.Halt()
-	p := b.MustBuild()
-	f, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	m := vm.New(p)
-	spec := record(t, m, 25)
-
-	var dataBr int32 = -1
-	for pc, in := range p.Instrs {
-		if in.Op == isa.BrI && in.Cond == isa.Eq {
-			dataBr = int32(pc)
-		}
-	}
-	liar := vm.SBFacts{Decided: func(pc int32) (bool, bool) {
-		if pc != dataBr {
-			return false, false
-		}
-		// Claim the branch always resolves the way this recording went.
-		for i := range spec {
-			if spec[i].PC == pc {
-				return spec[i].Next == int32(spec[i].In.Target), true
-			}
-		}
-		return false, false
-	}}
-	sb, stats, err := vm.CompileSuperblockFacts(spec, p.Len(), liar)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if stats.Implied == 0 {
-		t.Fatal("test premise broken: lying facts dropped no guard")
-	}
-	if err := ValidateSuperblock(f, spec, sb); err == nil {
-		t.Fatal("validator accepted a superblock missing a guard on an undecidable branch")
-	}
-}
-
-// TestValidateHonestDecidedBranchAccepted: when the analysis genuinely
-// decides a branch, the compiler drops the guard and the validator re-proves
-// the decision from the entry state.
-func TestValidateHonestDecidedBranchAccepted(t *testing.T) {
-	b := prog.NewBuilder("honestbr")
-	b.SetMemSize(16)
-	fn := b.Func("main")
-	fn.MovI(1, 0)
-	fn.Label("loop")
-	fn.AndI(2, 1, 7)
-	fn.BrI(isa.Ge, 2, 0, "ok") // always taken: masked value is nonnegative
-	fn.MovI(7, 1)              // dead
-	fn.Label("ok")
-	fn.AddI(1, 1, 1)
-	fn.BrI(isa.Lt, 1, 200, "loop")
-	fn.Halt()
-	p := b.MustBuild()
-	f, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	var decided int32 = -1
-	for pc, in := range p.Instrs {
-		if in.Op == isa.BrI && in.Cond == isa.Ge {
-			decided = int32(pc)
-		}
-	}
-	if f.Branch(decided) != BranchAlwaysTaken {
-		t.Fatalf("analysis failed to decide the masked branch at pc %d", decided)
-	}
-	m := vm.New(p)
-	spec := record(t, m, 30)
-	sb, stats, err := vm.CompileSuperblockFacts(spec, p.Len(), sbFactsOf(f))
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if stats.Implied == 0 {
-		t.Fatal("decided branch did not drop its guard")
-	}
-	if err := ValidateSuperblock(f, spec, sb); err != nil {
-		t.Fatalf("validator rejected a correctly elided decided branch: %v", err)
 	}
 }
 
@@ -226,10 +50,6 @@ func TestValidateHonestDecidedBranchAccepted(t *testing.T) {
 // reasoning.
 func TestValidateRejectsTamperedSpec(t *testing.T) {
 	p := freshProgram(t)
-	f, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
 	m := vm.New(p)
 	spec := record(t, m, 20)
 	sb, _, err := vm.CompileSuperblock(spec, p.Len())
@@ -238,7 +58,7 @@ func TestValidateRejectsTamperedSpec(t *testing.T) {
 	}
 	tampered := append([]vm.SBStep(nil), spec...)
 	tampered[3].In.Imm++
-	if err := ValidateSuperblock(f, tampered, sb); err == nil {
+	if err := ValidateSuperblock(p, tampered, sb); err == nil {
 		t.Fatal("validator accepted a spec that disagrees with the program image")
 	}
 }
@@ -247,10 +67,6 @@ func TestValidateRejectsTamperedSpec(t *testing.T) {
 // direction after compilation makes the compiled guard contradict the spec.
 func TestValidateRejectsWrongDirectionGuard(t *testing.T) {
 	p := freshProgram(t)
-	f, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
 	m := vm.New(p)
 	spec := record(t, m, 20)
 	sb, _, err := vm.CompileSuperblock(spec, p.Len())
@@ -276,7 +92,7 @@ func TestValidateRejectsWrongDirectionGuard(t *testing.T) {
 	if !found {
 		t.Fatal("no conditional branch in spec")
 	}
-	if err := ValidateSuperblock(f, flipped, sb); err == nil {
+	if err := ValidateSuperblock(p, flipped, sb); err == nil {
 		t.Fatal("validator accepted a guard whose direction contradicts the spec")
 	}
 }
@@ -296,20 +112,16 @@ func TestValidateAcrossCallAndRet(t *testing.T) {
 	fn.BrI(isa.Lt, 1, 500, "loop")
 	fn.Halt()
 	body := b.Func("body")
-	body.Load(3, 2, 0) // r2 masked by the caller; provable through the call
+	body.Load(3, 2, 0) // r2 masked by the caller
 	body.Ret()
 	p := b.MustBuild()
-	f, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
 	m := vm.New(p)
 	spec := record(t, m, 24)
-	sb, _, err := vm.CompileSuperblockFacts(spec, p.Len(), sbFactsOf(f))
+	sb, _, err := vm.CompileSuperblock(spec, p.Len())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := ValidateSuperblock(f, spec, sb); err != nil {
+	if err := ValidateSuperblock(p, spec, sb); err != nil {
 		t.Fatalf("validator rejected a call-crossing superblock: %v", err)
 	}
 }

@@ -71,8 +71,7 @@ func ValidateFragment(p *prog.Program, start int, steps []GuestStep) error {
 		return fmt.Errorf("dataflow: validate fragment: head pc %d != fragment start %d", steps[0].PC, start)
 	}
 
-	f := &Facts{Prog: p}
-	if err := checkPath(f, len(steps), func(i int) (int, isa.Instr, int) {
+	if err := checkPath(p, len(steps), func(i int) (int, isa.Instr, int) {
 		return steps[i].PC, steps[i].In, steps[i].Next
 	}); err != nil {
 		return fmt.Errorf("dataflow: validate fragment: %w", err)

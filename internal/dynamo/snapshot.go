@@ -166,8 +166,10 @@ func (s *System) t2Decided(fr *Fragment) bool {
 // The snapshot must match this System's program fingerprint and scheme, and
 // is validated and clamped against SnapshotLimits first; a failed Restore
 // leaves the System exactly as cold as it was. Addresses are bounds-checked
-// against the (already verifier-gated) program, so a forged snapshot can
-// at worst install traces the run would abandon, never break memory safety.
+// against the (already verifier-gated) program, and a trace whose steps
+// do not form a path from its start is skipped, so a forged snapshot can
+// at worst install traces the run would abandon, never break memory safety
+// or change what the guest computes.
 func (s *System) Restore(snap *snapshot.Snapshot) error {
 	if s.verifyErr != nil {
 		return fmt.Errorf("dynamo: refusing to restore into unverified program: %w", s.verifyErr)
@@ -231,13 +233,18 @@ func (s *System) Restore(snap *snapshot.Snapshot) error {
 		if t.Start >= nInstr || s.cache.get(t.Start) != nil || s.black.barred(t.Start) {
 			continue
 		}
+		// A trace must be a path: its first step at Start, each step at
+		// the previous step's successor. Tier 1 would only abandon a trace
+		// that is not, but tier 2 executes the recorded instructions.
 		steps := make([]dataflow.GuestStep, 0, len(t.Steps))
 		ok := true
+		at := t.Start
 		for _, st := range t.Steps {
-			if st.PC >= nInstr || st.Next > nInstr {
+			if st.PC != at || st.PC >= nInstr || st.Next > nInstr {
 				ok = false
 				break
 			}
+			at = st.Next
 			in := s.m.Prog.Instrs[st.PC]
 			if in.Op == isa.Halt {
 				break

@@ -341,6 +341,121 @@ func TestRestoreRejects(t *testing.T) {
 	}
 }
 
+// TestRestoreSkipsForgedTraces: a persisted trace that is not a path — one
+// step moved to another address, or steps that begin somewhere other than
+// the trace's Start — must not change what the guest computes, even when
+// its tier-2 decision is restored and the translation validator is off
+// (the default of cmd/dynamo -snapshot-in and netpathd). Tier 1 checks every
+// successor at run time, but a superblock executes the recorded
+// instructions, so Restore and the superblock compiler must refuse them.
+func TestRestoreSkipsForgedTraces(t *testing.T) {
+	b, err := workload.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := b.Build(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTier2Compiler(1, 64)
+	defer tc.Close()
+	cfg := DefaultConfig(SchemeNET, 50)
+	cfg.Tier2 = tc
+	cfg.Tier2Threshold = 4
+	cold := New(p, cfg)
+	if _, err := cold.Run(); err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	snap := cold.Snapshot("")
+	sort.SliceStable(snap.Traces, func(i, j int) bool { return snap.Traces[i].Flow > snap.Traces[j].Flow })
+
+	// Forgery 1: in the heaviest trace with a straight step to spare, move
+	// that step to another straight instruction. Its own successor stays
+	// legal (pc+1), so only the chaining gives it away.
+	moved := -1
+	for i := 0; i < len(snap.Traces) && moved < 0; i++ {
+		tr := &snap.Traces[i]
+		for k := 1; k+1 < len(tr.Steps); k++ {
+			pc := tr.Steps[k].PC
+			if y := otherALU(p, pc); straightALU(p.Instrs[pc].Op) && y >= 0 {
+				tr.Steps[k] = snapshot.Step{PC: y, Next: y + 1}
+				tr.Tier2 = true
+				moved = i
+				break
+			}
+		}
+	}
+	// Forgery 2: the heaviest other trace takes the genuine steps of the
+	// next one, a real path that starts somewhere other than its Start.
+	var rest []int
+	for i := range snap.Traces {
+		if i != moved && len(snap.Traces[i].Steps) >= 2 {
+			rest = append(rest, i)
+		}
+	}
+	if moved < 0 || len(rest) < 2 {
+		t.Fatalf("no traces to forge (moved %d, %d others)", moved, len(rest))
+	}
+	headless := &snap.Traces[rest[0]]
+	headless.Steps = append([]snapshot.Step(nil), snap.Traces[rest[1]].Steps...)
+	headless.Tier2 = true
+
+	wc := NewTier2Compiler(1, 64)
+	defer wc.Close()
+	wcfg := cfg // ValidateEmits stays off
+	wcfg.Tier2 = wc
+	warm := New(p, wcfg)
+	if err := warm.Restore(snap); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	for _, start := range []int{snap.Traces[moved].Start, headless.Start} {
+		if warm.cache.get(start) != nil {
+			t.Errorf("Restore installed the forged trace at %d", start)
+		}
+	}
+	waitTier2(t, wc, int64(warm.res.RestoredT2))
+	res, err := warm.Run()
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	if res.T2Enters == 0 {
+		t.Error("warm run never entered a superblock")
+	}
+
+	ref := vm.New(p)
+	ref.SetEngine(vm.EngineLegacy)
+	if err := ref.Run(0); err != nil {
+		t.Fatalf("legacy run: %v", err)
+	}
+	if res.Steps != ref.Steps || warm.Machine().Steps != ref.Steps {
+		t.Errorf("steps: warm %d (machine %d), legacy %d", res.Steps, warm.Machine().Steps, ref.Steps)
+	}
+	if warm.Machine().Reg != ref.Reg {
+		t.Errorf("registers differ from the legacy engine:\n got %v\nwant %v", warm.Machine().Reg, ref.Reg)
+	}
+}
+
+// straightALU reports ops a moved step can execute in place of another
+// without touching memory or control flow.
+func straightALU(op isa.Op) bool {
+	switch op {
+	case isa.Add, isa.Sub, isa.AddI, isa.MovI, isa.Mov, isa.AndI:
+		return true
+	}
+	return false
+}
+
+// otherALU returns the first straight ALU instruction of p that differs
+// from the one at pc, or -1.
+func otherALU(p *prog.Program, pc int) int {
+	for y, in := range p.Instrs {
+		if y != pc && y+1 < p.Len() && straightALU(in.Op) && in != p.Instrs[pc] {
+			return y
+		}
+	}
+	return -1
+}
+
 // TestRestoreRespectsBlacklist: a head the collecting fleet permanently
 // blacklisted must be neither counted nor re-installed by Restore.
 func TestRestoreRespectsBlacklist(t *testing.T) {

@@ -149,10 +149,7 @@ type Config struct {
 	// Result and telemetry. On in tests and CI; off by default in
 	// production, where the counters alone are the tripwire.
 	ValidateEmits bool
-	// Tier2Elide feeds statically proven dataflow facts into the superblock
-	// compiler: loads and stores proven in-bounds lower to check-free
-	// handlers, and branches the analysis decided compile to nothing (with
-	// their entry guards pruned). No effect unless Tier2 is set.
+	// Deprecated: ignored; static elision was removed.
 	Tier2Elide bool
 
 	// Probe, when non-nil and ProbeEvery > 0, is called synchronously every
@@ -258,13 +255,10 @@ type Result struct {
 	T2ValidatorChecked int64 // superblocks validated after compile (counted at pickup)
 	T2ValidatorRejects int64 // superblocks refused publication (tombstoned)
 
-	// Static guard-elision counters (all zero unless Config.Tier2Elide).
-	T2BoundsElided  int64 // bounds checks dropped by static proof, per published block
-	T2GuardsImplied int64 // entry guards pruned as statically implied, per published block
+	T2GuardsImplied int64 // entry guards pruned as implied by earlier ones, per published block
 	// T2GuardChecks counts runtime checks actually executed inside tier 2:
 	// entry-guard evaluations plus in-body successor/bounds checks. The
-	// guards-executed-per-step metric is T2GuardChecks / T2Instrs; elision
-	// lowers it at identical architectural behavior.
+	// guards-executed-per-step metric is T2GuardChecks / T2Instrs.
 	T2GuardChecks int64
 
 	// Warm-start counters (all zero unless Restore ran; see snapshot.go).

@@ -74,9 +74,9 @@ var (
 type t2Block struct {
 	sb     *vm.Superblock
 	nGuest int32
-	// stats is the compiler's report for this block (guards hoisted,
-	// statically elided checks); folded into the run's counters by the
-	// mutator at first pickup (creditT2Block).
+	// stats is the compiler's report for this block (guards hoisted and
+	// pruned); folded into the run's counters by the mutator at first
+	// pickup (creditT2Block).
 	stats vm.SBStats
 	// validated/rejected record the translation validator's verdict; a
 	// rejected block is a tombstone (sb == nil) that also explains itself.
@@ -108,11 +108,8 @@ type t2Job struct {
 	bounds  []t2Bound
 	prog    *prog.Program // immutable; safe to share with the worker
 	progLen int
-	// elide lowers the block against the program's dataflow facts;
-	// validate runs the translation validator before publication. Both are
-	// resolved on the worker (the analysis is memoized per program), so the
-	// mutator never pays for either.
-	elide    bool
+	// validate runs the translation validator before publication, on the
+	// worker, so the mutator never pays for it.
 	validate bool
 
 	// Request-scoped tracing (nil = sampled out). The worker writes the
@@ -146,7 +143,6 @@ type Tier2Compiler struct {
 	rejected  atomic.Int64
 	vrejected atomic.Int64
 	dropped   atomic.Int64
-	elided    atomic.Int64
 }
 
 // NewTier2Compiler starts workers resident compile workers over a queue of
@@ -234,18 +230,7 @@ func (c *Tier2Compiler) next() (func(), bool) {
 func (c *Tier2Compiler) compile(j *t2Job) {
 	start := time.Now()
 	traceStart := j.tr.Now()
-	var facts *dataflow.Facts
-	if j.elide || j.validate {
-		facts = dataflow.ProgramFacts(j.prog) // memoized; nil only on analysis failure
-	}
-	var sb *vm.Superblock
-	var stats vm.SBStats
-	var err error
-	if j.elide && facts != nil {
-		sb, stats, err = vm.CompileSuperblockFacts(j.spec, j.progLen, sbFactsFor(facts))
-	} else {
-		sb, stats, err = vm.CompileSuperblock(j.spec, j.progLen)
-	}
+	sb, stats, err := vm.CompileSuperblock(j.spec, j.progLen)
 	if err != nil {
 		j.fr.t2.Store(&t2Block{})
 		c.rejected.Add(1)
@@ -254,11 +239,7 @@ func (c *Tier2Compiler) compile(j *t2Job) {
 		return
 	}
 	if j.validate {
-		f := facts
-		if f == nil {
-			f = &dataflow.Facts{Prog: j.prog}
-		}
-		if verr := dataflow.ValidateSuperblock(f, j.spec, sb); verr != nil {
+		if verr := dataflow.ValidateSuperblock(j.prog, j.spec, sb); verr != nil {
 			// The compiler produced a block the validator cannot prove
 			// equivalent to the recorded trace. Publish a self-describing
 			// tombstone: the fragment keeps running tier 1 forever, and the
@@ -297,7 +278,6 @@ func (c *Tier2Compiler) compile(j *t2Job) {
 	blk.elimPfx[n] = ep
 	j.fr.t2.Store(blk)
 	c.compiled.Add(1)
-	c.elided.Add(int64(stats.BoundsElided))
 	telT2Compiled.Inc()
 	telT2CompileUs.Observe(time.Since(start).Microseconds())
 	if j.tr != nil {
@@ -322,11 +302,6 @@ func (c *Tier2Compiler) Close() {
 
 // Compiled returns the number of superblocks compiled and published.
 func (c *Tier2Compiler) Compiled() int64 { return c.compiled.Load() }
-
-// BoundsElided returns the bounds checks statically elided across every
-// published superblock. Unlike Result.T2BoundsElided, which credits a block
-// only when a run picks it up, it is complete once the queue is drained.
-func (c *Tier2Compiler) BoundsElided() int64 { return c.elided.Load() }
 
 // Rejected returns the number of compiles refused (tombstoned fragments).
 func (c *Tier2Compiler) Rejected() int64 { return c.rejected.Load() }
@@ -453,7 +428,7 @@ func (s *System) snapshotChain(fr *Fragment) *t2Job {
 	return &t2Job{
 		fr: fr, spec: spec, elim: elim, bounds: bounds,
 		prog: s.m.Prog, progLen: s.m.Prog.Len(),
-		elide: s.cfg.Tier2Elide, validate: s.cfg.ValidateEmits,
+		validate: s.cfg.ValidateEmits,
 	}
 }
 

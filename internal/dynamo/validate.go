@@ -1,4 +1,4 @@
-// Translation validation and static-fact plumbing.
+// Translation validation.
 //
 // When Config.ValidateEmits is set, every translation the engine is about to
 // trust is first checked against the guest instruction sequence it claims to
@@ -9,21 +9,14 @@
 // installed — the code path stays on the next tier down — and the rejection
 // is counted, so a rejecting run is loud in results and telemetry without
 // ever being wrong. Validation is on in tests and CI and off by default in
-// production, where the counters alone are the tripwire.
-//
-// When Config.Tier2Elide is set, the whole-program dataflow analysis
-// (internal/dataflow.Analyze) feeds the superblock compiler: memory accesses
-// proven in-bounds lower to check-free fused handlers and branches the
-// analysis decided compile to nothing. The compile workers read the facts
-// from dataflow.ProgramFacts, the memo the static predictor also reads, so
-// the analysis runs at most once per resident program, and on a background
-// worker unless the static scheme already ran it at load time.
+// production, where the counters alone are the tripwire. Neither validator
+// needs the whole-program dataflow analysis: each proves its translation
+// from the recorded guest sequence and the program image alone.
 package dynamo
 
 import (
 	"netpath/internal/dataflow"
 	"netpath/internal/telemetry"
-	"netpath/internal/vm"
 )
 
 var (
@@ -32,23 +25,6 @@ var (
 	telT2ValidateRejects = telemetry.NewCounter("dynamo_tier2_validator_rejects_total",
 		"tier-2 superblocks refused publication by the translation validator")
 )
-
-// sbFactsFor adapts dataflow facts to the superblock compiler's narrow
-// interface.
-func sbFactsFor(f *dataflow.Facts) vm.SBFacts {
-	return vm.SBFacts{
-		InBounds: f.InBounds,
-		Decided: func(pc int32) (taken, ok bool) {
-			switch f.Branch(pc) {
-			case dataflow.BranchAlwaysTaken:
-				return true, true
-			case dataflow.BranchNeverTaken:
-				return false, true
-			}
-			return false, false
-		},
-	}
-}
 
 // validateEmit checks an optimized fragment against the program before it
 // enters the cache. Mutator-side, but only on the emit slow path and only
@@ -71,7 +47,6 @@ func (s *System) validateEmit(fr *Fragment) bool {
 // block (publication is the only cross-thread edge, so the worker cannot
 // write results into s.res directly).
 func (s *System) creditT2Block(blk *t2Block) {
-	s.res.T2BoundsElided += int64(blk.stats.BoundsElided)
 	s.res.T2GuardsImplied += int64(blk.stats.Implied)
 	if blk.validated {
 		s.res.T2ValidatorChecked++

@@ -54,8 +54,6 @@ type SBOpInfo struct {
 	Flag bool
 	// UseImm reports the guard compares against Imm/Imm2 (BrI form).
 	UseImm bool
-	// NoCheck reports the memory bounds check was statically elided.
-	NoCheck bool
 	// Fused reports the op covers two guest steps.
 	Fused bool
 
@@ -82,7 +80,6 @@ type sbSig struct {
 	cond    isa.Cond
 	useImm  bool
 	hasCond bool
-	noCheck bool
 	fused   bool
 }
 
@@ -99,8 +96,6 @@ func init() {
 	for op, fn := range sbStraight {
 		sbRegister(fn, sbSig{kind: SBOpStraight, op: op})
 	}
-	sbRegister(sbLoadNC, sbSig{kind: SBOpStraight, op: isa.Load, noCheck: true})
-	sbRegister(sbStoreNC, sbSig{kind: SBOpStraight, op: isa.Store, noCheck: true})
 	for i := range sbGuardRRFns {
 		sbRegister(sbGuardRRFns[i], sbSig{kind: SBOpGuard, op: isa.Br, cond: isa.Cond(i), hasCond: true})
 		sbRegister(sbGuardRIFns[i], sbSig{kind: SBOpGuard, op: isa.BrI, cond: isa.Cond(i), useImm: true, hasCond: true})
@@ -112,14 +107,8 @@ func init() {
 	for op, fn := range sbLoadAluFns {
 		sbRegister(fn, sbSig{kind: SBOpLoadAlu, op: isa.Load, op2: op, fused: true})
 	}
-	for op, fn := range sbLoadAluFnsNC {
-		sbRegister(fn, sbSig{kind: SBOpLoadAlu, op: isa.Load, op2: op, fused: true, noCheck: true})
-	}
 	for op, fn := range sbAluStoreFns {
 		sbRegister(fn, sbSig{kind: SBOpAluStore, op: op, op2: isa.Store, fused: true})
-	}
-	for op, fn := range sbAluStoreFnsNC {
-		sbRegister(fn, sbSig{kind: SBOpAluStore, op: op, op2: isa.Store, fused: true, noCheck: true})
 	}
 	for op, fn := range sbAluGuardFns {
 		sbRegister(fn, sbSig{kind: SBOpAluGuard, op: op, fused: true})
@@ -135,7 +124,7 @@ func (sb *Superblock) Ops() []SBOpInfo {
 		sig := sbSigs[reflect.ValueOf(op.fn).Pointer()]
 		info := SBOpInfo{
 			Kind: sig.kind, Op: sig.op, Op2: sig.op2,
-			NoCheck: sig.noCheck, Fused: sig.fused, Flag: op.flag,
+			Fused: sig.fused, Flag: op.flag,
 			Imm: op.imm, Imm2: op.imm2,
 			PC: op.pc, PC2: op.pc2, Next: op.next,
 			Guest: op.guest, Guest2: op.guest2,

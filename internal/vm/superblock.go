@@ -20,10 +20,10 @@
 // superblock-scoped rather than per instruction: guards whose operands are
 // not written earlier in the block are hoisted into an entry check (fail →
 // the caller runs the precise tier-1 loop instead), guards exactly implied
-// by an earlier guard are eliminated, pure control ops (Jmp, Nop, decided
-// branches) compile to nothing, and common adjacent pairs (cmp+branch,
-// load+ALU, ALU+store) fuse into single handlers, halving dispatch work on
-// typical loop bodies.
+// by an earlier guard are eliminated, pure control ops (Jmp, Nop, branches
+// whose outcomes share a successor) compile to nothing, and common adjacent
+// pairs (cmp+branch, load+ALU, ALU+store) fuse into single handlers, halving
+// dispatch work on typical loop bodies.
 package vm
 
 import (
@@ -53,37 +53,9 @@ type SBStats struct {
 	Redundant int
 	// Fused counts adjacent guest pairs merged into one fused handler.
 	Fused int
-	// Implied counts guards eliminated on static proof: branches the
-	// dataflow analysis decided, and entry guards implied by the kept
-	// entry guards that precede them.
+	// Implied counts entry guards eliminated because the kept entry guards
+	// that precede them imply them.
 	Implied int
-	// BoundsElided counts memory bounds checks dropped because the address
-	// is statically proven inside [0, MemSize).
-	BoundsElided int
-}
-
-// SBFacts carries statically proven per-address facts the compiler may use
-// to drop runtime checks. The zero value claims nothing. Facts must hold on
-// every execution that reaches the address — the translation validator
-// (internal/dataflow) re-derives each one before a compiled superblock is
-// published, so a lying provider is caught before it can execute.
-type SBFacts struct {
-	// InBounds reports that the Load/Store at pc always addresses inside
-	// guest memory.
-	InBounds func(pc int32) bool
-	// Decided reports that the Br/BrI at pc always resolves the same way.
-	Decided func(pc int32) (taken, ok bool)
-}
-
-func (f SBFacts) inBounds(pc int32) bool {
-	return f.InBounds != nil && f.InBounds(pc)
-}
-
-func (f SBFacts) decided(pc int32) (bool, bool) {
-	if f.Decided == nil {
-		return false, false
-	}
-	return f.Decided(pc)
 }
 
 // SBExit reports one superblock execution.
@@ -715,21 +687,13 @@ type guardFact struct {
 // pure function of the spec (no Machine state), so it can run on a
 // background worker. progLen bounds the recorded addresses; a spec the
 // compiler cannot prove it understands — malformed instructions, successors
-// inconsistent with the opcode, a Halt — is refused with an error rather
-// than compiled approximately, because an executed superblock must be
-// architecturally indistinguishable from per-step execution.
+// inconsistent with the opcode, steps that do not chain, a Halt — is
+// refused with an error rather than compiled approximately, because an
+// executed superblock must be architecturally indistinguishable from
+// per-step execution.
 //
 //netpathvet:cold
 func CompileSuperblock(spec []SBStep, progLen int) (*Superblock, SBStats, error) {
-	return CompileSuperblockFacts(spec, progLen, SBFacts{})
-}
-
-// CompileSuperblockFacts is CompileSuperblock with statically proven facts:
-// branches the analysis decided compile to nothing (a contradicting spec is
-// refused), and memory ops proven in-bounds lower to check-free handlers.
-//
-//netpathvet:cold
-func CompileSuperblockFacts(spec []SBStep, progLen int, facts SBFacts) (*Superblock, SBStats, error) {
 	var stats SBStats
 	n := len(spec)
 	if n == 0 {
@@ -747,6 +711,12 @@ func CompileSuperblockFacts(spec []SBStep, progLen int, facts SBFacts) (*Superbl
 		}
 		if err := in.Validate(); err != nil {
 			return nil, stats, fmt.Errorf("vm: superblock step %d: %w", i, err)
+		}
+		// The body executes the recorded instructions, not the program at
+		// the recorded successor, so a step must start where the previous
+		// one went.
+		if i+1 < n && spec[i+1].PC != st.Next {
+			return nil, stats, fmt.Errorf("vm: superblock step %d: successor %d does not chain to step %d at pc %d", i, next, i+1, spec[i+1].PC)
 		}
 		switch in.Op {
 		case isa.Halt:
@@ -768,16 +738,6 @@ func CompileSuperblockFacts(spec []SBStep, progLen int, facts SBFacts) (*Superbl
 			if int(in.Target) == pc+1 {
 				// Both outcomes share the successor: no divergence possible.
 				cls[i] = clSkip
-			} else if taken, ok := facts.decided(st.PC); ok {
-				// Statically decided branch: every execution reaching this
-				// pc resolves it one way, so no guard is needed. A recorded
-				// direction disagreeing with the proof means the spec (or
-				// the fact provider) is corrupt — refuse to compile.
-				if taken != (next == int(in.Target)) {
-					return nil, stats, fmt.Errorf("vm: superblock step %d: recorded direction contradicts statically decided branch at pc %d", i, pc)
-				}
-				cls[i] = clSkip
-				stats.Implied++
 			} else if in.Op == isa.Br {
 				cls[i] = clGuardRR
 			} else {
@@ -875,7 +835,7 @@ func CompileSuperblockFacts(spec []SBStep, progLen int, facts SBFacts) (*Superbl
 			continue
 		}
 		if j := nextEmit(i + 1); j >= 0 {
-			if op, ok := fusePair(spec, cls, i, j, facts, &stats, checkAt); ok {
+			if op, ok := fusePair(spec, cls, i, j, checkAt); ok {
 				code = append(code, op)
 				stats.Fused++
 				stats.Skipped += j - i - 1 // skips the fusion reached across
@@ -883,7 +843,7 @@ func CompileSuperblockFacts(spec []SBStep, progLen int, facts SBFacts) (*Superbl
 				continue
 			}
 		}
-		code = append(code, lowerSingle(&spec[i], cls[i], i, facts, &stats, checkAt))
+		code = append(code, lowerSingle(&spec[i], cls[i], i, checkAt))
 		i++
 	}
 
@@ -1003,9 +963,8 @@ func pruneImpliedGuards(guards []sbGuard, stats *SBStats) []sbGuard {
 	return kept
 }
 
-// lowerSingle builds the host op for one unfused guest step, dropping the
-// bounds check from memory ops the facts prove in-bounds.
-func lowerSingle(st *SBStep, class uint8, guest int, facts SBFacts, stats *SBStats, checkAt []int32) sbop {
+// lowerSingle builds the host op for one unfused guest step.
+func lowerSingle(st *SBStep, class uint8, guest int, checkAt []int32) sbop {
 	in := st.In
 	op := sbop{
 		imm: in.Imm, pc: st.PC, next: st.Next, guest: int32(guest),
@@ -1014,18 +973,8 @@ func lowerSingle(st *SBStep, class uint8, guest int, facts SBFacts, stats *SBSta
 	switch class {
 	case clStraight:
 		op.fn = sbStraight[in.Op]
-		switch in.Op {
-		case isa.Load, isa.Store:
-			if facts.inBounds(st.PC) {
-				if in.Op == isa.Load {
-					op.fn = sbLoadNC
-				} else {
-					op.fn = sbStoreNC
-				}
-				stats.BoundsElided++
-			} else {
-				checkAt[guest]++
-			}
+		if in.Op == isa.Load || in.Op == isa.Store {
+			checkAt[guest]++
 		}
 	case clGuardRR:
 		op.fn = sbGuardRRFns[in.Cond]
@@ -1052,45 +1001,23 @@ func lowerSingle(st *SBStep, class uint8, guest int, facts SBFacts, stats *SBSta
 }
 
 // fusePair attempts to merge guest steps i and j (the next two executable
-// steps) into one fused host op, with the memory sub-op's bounds check
-// elided when the facts prove its address in-bounds.
-func fusePair(spec []SBStep, cls []uint8, i, j int, facts SBFacts, stats *SBStats, checkAt []int32) (sbop, bool) {
+// steps) into one fused host op.
+func fusePair(spec []SBStep, cls []uint8, i, j int, checkAt []int32) (sbop, bool) {
 	a, b := &spec[i], &spec[j]
 	var fn sbFn
-	elide := false
+	var check int // guest index whose runtime check the fused op executes
 	switch {
 	case cls[i] == clStraight && a.In.Op == isa.Load && cls[j] == clStraight:
-		fn = sbLoadAluFns[b.In.Op]
-		if fn != nil {
-			if facts.inBounds(a.PC) {
-				fn = sbLoadAluFnsNC[b.In.Op]
-				elide = true
-			} else {
-				checkAt[i]++
-			}
-		}
+		fn, check = sbLoadAluFns[b.In.Op], i
 	case cls[i] == clStraight && b.In.Op == isa.Store && cls[j] == clStraight:
-		fn = sbAluStoreFns[a.In.Op]
-		if fn != nil {
-			if facts.inBounds(b.PC) {
-				fn = sbAluStoreFnsNC[a.In.Op]
-				elide = true
-			} else {
-				checkAt[j]++
-			}
-		}
+		fn, check = sbAluStoreFns[a.In.Op], j
 	case cls[i] == clStraight && (cls[j] == clGuardRR || cls[j] == clGuardRI):
-		fn = sbAluGuardFns[a.In.Op]
-		if fn != nil {
-			checkAt[j]++
-		}
+		fn, check = sbAluGuardFns[a.In.Op], j
 	}
 	if fn == nil {
 		return sbop{}, false
 	}
-	if elide {
-		stats.BoundsElided++
-	}
+	checkAt[check]++
 	op := sbop{
 		fn:  fn,
 		imm: a.In.Imm, imm2: b.In.Imm,

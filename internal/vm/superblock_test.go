@@ -386,6 +386,10 @@ func TestSuperblockCompileRefusals(t *testing.T) {
 		{"branch impossible next", []SBStep{{In: isa.Instr{Op: isa.BrI, Cond: isa.Lt, A: 1, Target: 3}, PC: 0, Next: 2}}},
 		{"bad register", []SBStep{{In: isa.Instr{Op: isa.Mov, A: 40, B: 0}, PC: 0, Next: 1}}},
 		{"invalid opcode", []SBStep{{In: isa.Instr{Op: isa.Op(200)}, PC: 0, Next: 1}}},
+		{"steps do not chain", []SBStep{
+			{In: isa.Instr{Op: isa.AddI, A: 1, B: 1, Imm: 1}, PC: 0, Next: 1},
+			{In: isa.Instr{Op: isa.AddI, A: 2, B: 2, Imm: 1}, PC: 5, Next: 6},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -529,5 +533,185 @@ func TestRunSuperblockAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("tier-2 dispatch allocates %v allocs/op, want 0", n)
+	}
+}
+
+// maskedLoopProgram: cursor masked into the window each iteration, then a
+// load and a store at the masked register.
+func maskedLoopProgram(t testing.TB) *prog.Program {
+	t.Helper()
+	b := prog.NewBuilder("masked")
+	b.SetMemSize(256)
+	f := b.Func("main")
+	f.MovI(1, 0)
+	f.Label("loop")
+	f.AndI(2, 1, 255)
+	f.Load(3, 2, 0)
+	f.AddI(3, 3, 1)
+	f.Store(3, 2, 0)
+	f.AddI(1, 1, 11)
+	f.BrI(isa.Lt, 1, 4000, "loop")
+	f.Halt()
+	return b.MustBuild()
+}
+
+// TestSuperblockMaskedLoopLockstep: a superblock over a loop of checked
+// loads and stores must be architecturally identical to per-step
+// execution, run to run, for many dispatches.
+func TestSuperblockMaskedLoopLockstep(t *testing.T) {
+	p := maskedLoopProgram(t)
+	ref := New(p)
+	spec := recordTrace(t, ref, 14) // two full iterations
+
+	sb, _, err := CompileSuperblock(spec, p.Len())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	for _, op := range sb.Ops() {
+		if op.Kind == SBOpInvalid {
+			t.Fatal("compiled superblock contains an unregistered handler")
+		}
+	}
+
+	mSB := New(p)
+	mStep := New(p)
+	start := int(spec[0].PC)
+	for dispatch := 0; dispatch < 50; dispatch++ {
+		if mSB.PC != start || mSB.Halted {
+			break
+		}
+		if !sb.GuardsPass(mSB) {
+			break
+		}
+		exit := mSB.RunSuperblock(sb)
+		if exit.Err != nil {
+			t.Fatalf("dispatch %d: superblock fault: %v", dispatch, exit.Err)
+		}
+		for i := int32(0); i < exit.Guest; i++ {
+			if err := mStep.Step(); err != nil {
+				t.Fatalf("dispatch %d: reference step: %v", dispatch, err)
+			}
+		}
+		if !exit.Completed {
+			if err := mStep.Step(); err != nil {
+				t.Fatalf("dispatch %d: reference diverge step: %v", dispatch, err)
+			}
+		}
+		compareMachines(t, mSB, mStep, "masked loop lockstep")
+		if t.Failed() {
+			t.Fatalf("state diverged on dispatch %d", dispatch)
+		}
+	}
+	if mSB.Steps == 0 {
+		t.Fatal("superblock never ran")
+	}
+}
+
+// TestNopSuccessorRefused: a Nop whose recorded successor is not pc+1 is a
+// corrupt spec, not something to compile around.
+func TestNopSuccessorRefused(t *testing.T) {
+	spec := []SBStep{{In: isa.Instr{Op: isa.Nop}, PC: 3, Next: 9}}
+	_, _, err := CompileSuperblock(spec, 20)
+	if err == nil {
+		t.Fatal("nop with wild successor compiled")
+	}
+}
+
+// TestPruneImpliedGuards exercises the entry-guard pruning lattice directly.
+func TestPruneImpliedGuards(t *testing.T) {
+	lt := func(a uint8, imm int64) sbGuard {
+		return sbGuard{a: a, useImm: true, want: true, cond: isa.Lt, imm: imm}
+	}
+	ge := func(a uint8, imm int64) sbGuard {
+		return sbGuard{a: a, useImm: true, want: true, cond: isa.Ge, imm: imm}
+	}
+	ne := func(a uint8, imm int64) sbGuard {
+		return sbGuard{a: a, useImm: true, want: true, cond: isa.Ne, imm: imm}
+	}
+	rr := sbGuard{a: 1, b: 2, want: true, cond: isa.Lt}
+
+	var stats SBStats
+	in := []sbGuard{
+		lt(1, 100), // keeps: first bound on r1
+		lt(1, 200), // implied: [_,99] within [_,199]
+		ge(1, 0),   // keeps: adds lower bound
+		ne(1, 500), // implied: 500 outside [0,99]
+		ne(1, 50),  // keeps: 50 inside [0,99]
+		rr,         // keeps: register-form untouched
+		lt(3, 10),  // keeps: different register
+	}
+	out := pruneImpliedGuards(in, &stats)
+	if len(out) != 5 {
+		t.Fatalf("kept %d guards, want 5: %+v", len(out), out)
+	}
+	if stats.Implied != 2 {
+		t.Errorf("Implied = %d, want 2", stats.Implied)
+	}
+	// The kept set must still contain the RR guard and both r1 bounds.
+	var haveRR, haveLt100, haveGe0 bool
+	for _, g := range out {
+		if !g.useImm {
+			haveRR = true
+		}
+		if g.useImm && g.cond == isa.Lt && g.imm == 100 {
+			haveLt100 = true
+		}
+		if g.useImm && g.cond == isa.Ge && g.imm == 0 {
+			haveGe0 = true
+		}
+	}
+	if !haveRR || !haveLt100 || !haveGe0 {
+		t.Errorf("pruning dropped a load-bearing guard: %+v", out)
+	}
+}
+
+// TestBodyChecksAccounting: checkPfx must total the in-body checks and be
+// monotone, and count every load and store of the body.
+func TestBodyChecksAccounting(t *testing.T) {
+	p := maskedLoopProgram(t)
+	m := New(p)
+	spec := recordTrace(t, m, 14)
+	plain, _, err := CompileSuperblock(spec, p.Len())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	var memOps int64
+	for _, st := range spec {
+		if st.In.Op == isa.Load || st.In.Op == isa.Store {
+			memOps++
+		}
+	}
+	if plain.BodyChecksAll() < memOps {
+		t.Errorf("body checks %d < %d loads and stores", plain.BodyChecksAll(), memOps)
+	}
+	for g := int32(0); g <= int32(plain.NGuest()); g++ {
+		if plain.BodyChecksUpTo(g) > plain.BodyChecksAll() {
+			t.Fatalf("BodyChecksUpTo(%d) exceeds total", g)
+		}
+		if g > 0 && plain.BodyChecksUpTo(g) < plain.BodyChecksUpTo(g-1) {
+			t.Fatalf("BodyChecksUpTo not monotone at %d", g)
+		}
+	}
+	if plain.BodyChecksUpTo(int32(plain.NGuest())) != plain.BodyChecksAll() {
+		t.Error("BodyChecksUpTo(NGuest) != BodyChecksAll")
+	}
+}
+
+// TestGuardsIntrospection: Guards() must reflect the hoisted entry guards.
+func TestGuardsIntrospection(t *testing.T) {
+	p := maskedLoopProgram(t)
+	m := New(p)
+	spec := recordTrace(t, m, 14)
+	sb, _, err := CompileSuperblock(spec, p.Len())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if len(sb.Guards()) != sb.NumGuards() {
+		t.Fatalf("Guards() length %d != NumGuards %d", len(sb.Guards()), sb.NumGuards())
+	}
+	for _, op := range sb.Ops() {
+		if op.Kind == SBOpInvalid {
+			t.Fatal("unregistered handler in compiled block")
+		}
 	}
 }
