@@ -68,6 +68,10 @@ func TestChaosRunsGolden(t *testing.T) {
 				in := mix.mk()
 				cfg.Chaos = in
 				res, err := New(p, cfg).Run()
+				if got := res.InterpInstrs + res.FragInstrs + res.NativeInstrs; got != res.Steps {
+					t.Errorf("%s/%v/%s: InterpInstrs+FragInstrs+NativeInstrs = %d, Steps = %d",
+						p.Name, scheme, mix.name, got, res.Steps)
+				}
 				fmt.Fprintf(&sb, "%s/%v/%s: err=%v fired=", p.Name, scheme, mix.name, err)
 				for k := chaos.Kind(0); k < chaos.NumKinds; k++ {
 					fmt.Fprintf(&sb, "%d,", in.Fired(k))

@@ -700,10 +700,7 @@ func (s *System) runInterp() error {
 	if s.inj != nil {
 		var err error
 		if bound, err = s.injectBound(true); err != nil {
-			// The trapped instruction was dispatched: it counts as
-			// interpreted, like one that faults itself.
-			s.countInterp(1)
-			s.countFaultedBranch(err)
+			// The trapped instruction never runs: nothing to count.
 			return err
 		}
 	}
