@@ -17,10 +17,9 @@
 // subcommands accept a file or a benchmark name; verify exits 1 on
 // error-class issues.
 //
-// analyze prints per-function dataflow facts — call-stack depth, proven
-// in-bounds memory accesses, statically decided branches — distilled from
-// the abstract-interpretation lattices in internal/dataflow (the same facts
-// the static predictor reads). With -dot
+// analyze prints per-function dataflow facts — proven in-bounds memory
+// accesses and statically decided branches — distilled from the range
+// analysis in internal/dataflow. No run reads them. With -dot
 // it instead emits each function's CFG as Graphviz DOT annotated with
 // register range intervals, address bounds proofs, and branch verdicts;
 // -fn restricts the DOT output to one function.
@@ -153,7 +152,7 @@ func load(arg string, scale float64) (*prog.Program, error) {
 	return b.Build(scale)
 }
 
-// analyze runs the whole-program dataflow analyses and prints the distilled
+// analyze runs the whole-program range analysis and prints the distilled
 // facts per function; with dot it emits range-annotated DOT instead (every
 // function, or just fnName when given).
 func analyze(w io.Writer, p *prog.Program, dot bool, fnName string) error {
@@ -198,8 +197,8 @@ func analyze(w io.Writer, p *prog.Program, dot bool, fnName string) error {
 				}
 			}
 		}
-		fmt.Fprintf(w, "  %-12s [%4d,%4d) %-10s bounds %d/%d  decided %d/%d\n",
-			f.Name, f.Entry, f.End, facts.Depths[fi], fp, ft, fd, fb)
+		fmt.Fprintf(w, "  %-12s [%4d,%4d) bounds %d/%d  decided %d/%d\n",
+			f.Name, f.Entry, f.End, fp, ft, fd, fb)
 	}
 	return nil
 }

@@ -115,9 +115,9 @@ func checkOne(name string, scale float64, tau, thresh int64) (*checkEntry, error
 		return nil, err
 	}
 	e := &checkEntry{Name: name}
-	facts := dataflow.ProgramFacts(p)
-	if facts == nil {
-		return nil, fmt.Errorf("%s: dataflow analysis failed", name)
+	facts, err := dataflow.Analyze(p)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	e.BoundsProven, e.BoundsTotal = facts.InBoundsCount()
 	e.BranchesDecided, e.BranchesTotal = facts.DecidedBranchCount()

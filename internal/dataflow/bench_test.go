@@ -28,8 +28,8 @@ func benchPrograms(b *testing.B) []*prog.Program {
 	return append(ps, randprog.MustGenerate(1, randprog.Options{}))
 }
 
-// BenchmarkAnalyze times the whole-program dataflow analysis the tier-2
-// compiler and the static predictor read their facts from.
+// BenchmarkAnalyze times the whole-program range analysis behind
+// netasm analyze and pathdump check. No run reads its facts.
 func BenchmarkAnalyze(b *testing.B) {
 	for _, p := range benchPrograms(b) {
 		b.Run(p.Name, func(b *testing.B) {

@@ -165,8 +165,15 @@ func TestAnalyzeFreshPattern(t *testing.T) {
 		t.Fatal("no load in program")
 	}
 	if !f.InBounds(loadPC) {
-		st, _ := f.EntryRange(int(loadPC))
-		t.Fatalf("masked load at pc %d not proven in-bounds; base range %v", loadPC, st.Reg[p.Instrs[loadPC].B])
+		bi := p.BlockAt(int(loadPC))
+		n, _ := f.Graphs[0].NodeOf(bi)
+		var base Interval
+		replay(p, p.Blocks[bi], f.Ranges[0].In[n], func(pc int, st *RangeState) {
+			if pc == int(loadPC) {
+				base = st.Reg[p.Instrs[pc].B]
+			}
+		})
+		t.Fatalf("masked load at pc %d not proven in-bounds; base range %v", loadPC, base)
 	}
 	proven, total := f.InBoundsCount()
 	if proven != 1 || total != 1 {
@@ -279,114 +286,5 @@ func TestAnalyzeJmpIndPoisons(t *testing.T) {
 		if in.Op == isa.Load && f.InBounds(int32(pc)) {
 			t.Fatalf("load at pc %d proven despite indirect-jump entry", pc)
 		}
-	}
-}
-
-func TestStackDepths(t *testing.T) {
-	b := prog.NewBuilder("depths")
-	b.SetMemSize(4)
-	m := b.Func("main")
-	m.Call("a")
-	m.Halt()
-	fa := b.Func("a")
-	fa.Call("b")
-	fa.Ret()
-	fb := b.Func("b")
-	fb.MovI(0, 1)
-	fb.Ret()
-	p := b.MustBuild()
-	d := AnalyzeStackDepths(p)
-	want := []FuncDepth{
-		{Reached: true, Exact: true, Depth: 0},
-		{Reached: true, Exact: true, Depth: 1},
-		{Reached: true, Exact: true, Depth: 2},
-	}
-	if len(d) != len(want) {
-		t.Fatalf("got %d depths, want %d", len(d), len(want))
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Errorf("func %d: %+v, want %+v", i, d[i], want[i])
-		}
-	}
-}
-
-func TestStackDepthVaries(t *testing.T) {
-	b := prog.NewBuilder("varies")
-	b.SetMemSize(4)
-	m := b.Func("main")
-	m.Call("a")
-	m.Call("b") // b also called from a: depth 1 vs 2
-	m.Halt()
-	fa := b.Func("a")
-	fa.Call("b")
-	fa.Ret()
-	fb := b.Func("b")
-	fb.MovI(0, 1)
-	fb.Ret()
-	p := b.MustBuild()
-	d := AnalyzeStackDepths(p)
-	if d[2].Exact {
-		t.Errorf("func b reachable at two depths but reported exact: %+v", d[2])
-	}
-	if d[2].String() != "varies" {
-		t.Errorf("String() = %q, want varies", d[2].String())
-	}
-}
-
-func TestLivenessLoop(t *testing.T) {
-	p := freshProgram(t)
-	f, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	g := f.Graphs[0]
-	sol := f.Live[0]
-	// At the loop-head block the cursor r1 and accumulator r4 are live (both
-	// are read before any redefinition on some path); the scratch r3 is not
-	// (it is always rewritten by the load first).
-	var loopNode = -1
-	for n := 2; n < g.NumNodes(); n++ {
-		bi := g.BlockOf[n]
-		if bi >= 0 && p.Instrs[p.Blocks[bi].Start].Op == isa.AddI && p.Blocks[bi].Start > 0 {
-			loopNode = n
-			break
-		}
-	}
-	if loopNode < 0 {
-		t.Fatal("loop block not found")
-	}
-	// Backward solutions: In[n] is the block-exit state (joined from
-	// successors), Out[n] the block-entry state after the transfer.
-	entry := sol.Out[loopNode]
-	if !entry.Live(1) || !entry.Live(4) {
-		t.Errorf("r1/r4 should be live at loop head, state %b", entry)
-	}
-	if entry.Live(3) {
-		t.Errorf("r3 dead at loop head (always overwritten), state %b", entry)
-	}
-}
-
-func TestConstSolutionOnDecidedProgram(t *testing.T) {
-	b := prog.NewBuilder("consts")
-	b.SetMemSize(4)
-	m := b.Func("main")
-	m.MovI(0, 21)
-	m.AddI(1, 0, 21)
-	m.Halt()
-	p := b.MustBuild()
-	f, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	g := f.Graphs[0]
-	sol := f.Consts[0]
-	n, ok := nodeAtAddr(g, 0)
-	if !ok {
-		t.Fatal("entry node not found")
-	}
-	out := sol.Out[n]
-	if known := out.Known&(1<<1) != 0; !known || out.Val[1] != 42 {
-		t.Fatalf("r1 should be known 42 at block exit, got known=%v val=%d", known, out.Val[1])
 	}
 }

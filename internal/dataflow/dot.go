@@ -35,8 +35,8 @@ func WriteDOT(w io.Writer, f *Facts, fi int) error {
 		}
 	}
 	fmt.Fprintf(w, "  label=%q;\n",
-		fmt.Sprintf("%s [%d,%d)  %s  bounds %d/%d proven",
-			fn.Name, fn.Entry, fn.End, f.Depths[fi], proven, total))
+		fmt.Sprintf("%s [%d,%d)  bounds %d/%d proven",
+			fn.Name, fn.Entry, fn.End, proven, total))
 	fmt.Fprintf(w, "  node [shape=box, fontname=\"monospace\"];\n")
 
 	back := map[cfg.Edge]bool{}
@@ -52,10 +52,11 @@ func WriteDOT(w io.Writer, f *Facts, fi int) error {
 			fmt.Fprintf(w, "  n1 [label=\"exit\", shape=doublecircle];\n")
 		default:
 			b := p.Blocks[g.BlockOf[node]]
-			label := fmt.Sprintf("[%d,%d)%s", b.Start, b.End, entrySummary(f, b.Start))
-			for a := b.Start; a < b.End; a++ {
-				label += fmt.Sprintf("\\l%3d: %s%s", a, p.Instrs[a], instrFact(f, a))
-			}
+			st := f.Ranges[fi].In[node]
+			label := fmt.Sprintf("[%d,%d)%s", b.Start, b.End, entrySummary(st))
+			replay(p, b, st, func(a int, st *RangeState) {
+				label += fmt.Sprintf("\\l%3d: %s%s", a, p.Instrs[a], instrFact(f, a, st))
+			})
 			label += "\\l"
 			attrs := ""
 			if !g.Reachable(cfg.Node(node)) {
@@ -80,14 +81,13 @@ func WriteDOT(w io.Writer, f *Facts, fi int) error {
 	return err
 }
 
-// entrySummary renders the registers with non-trivial intervals on entry to
-// the block starting at pc, or a reachability note. Registers at ⊤ are
+// entrySummary renders the registers with non-trivial intervals in a
+// block's entry state st, or a reachability note. Registers at ⊤ are
 // omitted — on most blocks that is nearly all of them — and the list is
 // capped at eight so the program-start block (all 32 registers at {0})
 // stays readable.
-func entrySummary(f *Facts, pc int) string {
-	st, ok := f.EntryRange(pc)
-	if !ok {
+func entrySummary(st RangeState) string {
+	if !st.Reached {
 		return "  unreached"
 	}
 	s, shown, known := "", 0, 0
@@ -114,15 +114,14 @@ func entrySummary(f *Facts, pc int) string {
 	return "  " + s
 }
 
-// instrFact renders the distilled per-instruction annotation: the address
-// interval and bounds verdict for memory accesses, the decided outcome for
-// conditional branches.
-func instrFact(f *Facts, pc int) string {
+// instrFact renders the distilled per-instruction annotation, given the
+// range state st on entry to pc: the address interval and bounds verdict
+// for memory accesses, the decided outcome for conditional branches.
+func instrFact(f *Facts, pc int, st *RangeState) string {
 	in := f.Prog.Instrs[pc]
 	switch in.Op {
 	case isa.Load, isa.Store:
-		st, ok := f.EntryRange(pc)
-		if !ok {
+		if !st.Reached {
 			return ""
 		}
 		addr := addIv(st.Reg[in.B], Point(in.Imm))

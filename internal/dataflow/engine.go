@@ -4,21 +4,20 @@
 // guest instruction sequences they claim to implement.
 //
 // The engine is generic over the lattice: a Problem[S] supplies the
-// direction, boundary/initial states, the per-block transfer function, and
-// the join. Optional interfaces refine edge states (branch-condition
-// narrowing) and widen loop-carried states to force termination on lattices
-// of unbounded height (intervals). Everything is deterministic: blocks are
-// visited in reverse post order (post order for backward problems) and the
-// fixpoint loop is round-robin, so two runs over the same program produce
-// identical solutions.
+// boundary/initial states, the per-block transfer function, the join, the
+// branch-condition edge refinement and the widening that forces termination
+// on lattices of unbounded height. Everything is deterministic: blocks are
+// visited in reverse post order and the fixpoint loop is round-robin, so two
+// runs over the same program produce identical solutions.
 //
-// Four lattices ship with the package: value ranges (interval.go), constant
-// propagation (constprop.go), liveness (liveness.go) and call-graph stack
-// depth (stackdepth.go). Analyze (facts.go) runs them over a whole program
-// and distills the per-instruction facts the rest of the system consumes:
-// which memory accesses are provably in bounds and which branches are
-// statically decided. validate.go uses the same facts to re-prove each
-// compiled superblock and fragment equivalent to its guest source.
+// One lattice ships on it, value ranges (interval.go). Analyze (facts.go)
+// runs it over a whole program and distills per-instruction facts for the
+// tooling (netasm analyze, pathdump check): which memory accesses are
+// provably in bounds and which branches are statically decided. No run
+// reads them. The validators (validate.go, validatefrag.go) share the
+// interval transfer functions but never the whole-program solution: each
+// re-proves a compiled superblock or fragment equivalent to its guest
+// source from the program image alone.
 package dataflow
 
 import (
@@ -27,25 +26,12 @@ import (
 	"netpath/internal/cfg"
 )
 
-// Direction says which way a problem's facts flow.
-type Direction int
-
-const (
-	// Forward problems propagate facts from Entry toward Exit.
-	Forward Direction = iota
-	// Backward problems propagate facts from Exit toward Entry.
-	Backward
-)
-
-// Problem is one dataflow problem over a single function CFG. S is the
-// per-node lattice state; values are treated as immutable by the engine
-// (Transfer and Join must return fresh or shared-safe values, never mutate
-// their arguments in place).
+// Problem is one forward dataflow problem over a single function CFG. S is
+// the per-node lattice state; values are treated as immutable by the engine
+// (Transfer, Join, RefineEdge and Widen must return fresh or shared-safe
+// values, never mutate their arguments in place).
 type Problem[S any] interface {
-	// Direction returns Forward or Backward.
-	Direction() Direction
-	// Boundary is the state at the boundary node: the in-state of Entry for
-	// forward problems, the out-state of Exit for backward ones.
+	// Boundary is the in-state of the Entry node.
 	Boundary(g *cfg.Graph) S
 	// Init is the initial (pre-join) state contributed to node n before any
 	// edge state arrives. For most problems this is the lattice bottom;
@@ -59,22 +45,15 @@ type Problem[S any] interface {
 	// Equal reports whether two states are indistinguishable; the fixpoint
 	// loop stops when no node's input changes.
 	Equal(a, b S) bool
-}
-
-// EdgeRefiner is an optional Problem extension: RefineEdge may strengthen
-// the state flowing across a specific edge, e.g. narrowing a register's
-// interval on the taken side of a conditional branch. It must only ever
-// lower the state (return something ≤ out in the lattice order) — raising
-// it would be unsound.
-type EdgeRefiner[S any] interface {
+	// RefineEdge may strengthen the state flowing across the edge from→to,
+	// e.g. narrowing a register's interval on the taken side of a
+	// conditional branch. It must only ever lower the state (return
+	// something ≤ out in the lattice order); raising it would be unsound.
 	RefineEdge(g *cfg.Graph, from, to cfg.Node, out S) S
-}
-
-// Widener is an optional Problem extension for lattices with unbounded
-// ascending chains. After a node has been revisited widenAfter times, the
-// engine replaces its freshly joined input with Widen(prev, next), which
-// must be an upper bound of both and must stabilize in finitely many steps.
-type Widener[S any] interface {
+	// Widen bounds ascending chains. After a node's input has changed
+	// widenAfter times, the engine replaces its freshly joined input with
+	// Widen(prev, next), which must be an upper bound of both and must
+	// stabilize in finitely many steps.
 	Widen(prev, next S) S
 }
 
@@ -95,32 +74,19 @@ type Solution[S any] struct {
 
 // Solve runs p to a fixpoint over g and returns the per-node solution.
 //
-// The iteration order is reverse post order for forward problems and post
-// order for backward ones, with any nodes unreachable from Entry (indirect
-// jump targets in graphs where cfg stops edge construction) appended in
-// node order so extra-entry states still propagate. Each pass walks that
-// order once, re-joining only the dirty positions: nodes a flow
-// predecessor's Out changed since their last evaluation, or whose last
-// evaluation widened. The loop repeats until a pass changes nothing, so a
-// pass costs the nodes it re-joins, not the whole graph. Widener bounds
-// the number of passes on infinite lattices.
+// The iteration order is reverse post order, with any nodes unreachable
+// from Entry (indirect jump targets in graphs where cfg stops edge
+// construction) appended in node order so extra-entry states still
+// propagate. Each pass walks that order once, re-joining only the dirty
+// positions: nodes a predecessor's Out changed since their last
+// evaluation, or whose last evaluation widened. The loop repeats until a
+// pass changes nothing, so a pass costs the nodes it re-joins, not the
+// whole graph. Widen bounds the number of passes on infinite lattices.
 func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 	n := g.NumNodes()
 	sol := &Solution[S]{In: make([]S, n), Out: make([]S, n)}
 
-	order := visitOrder(g, p.Direction())
-
-	refiner, hasRefine := p.(EdgeRefiner[S])
-	widener, hasWiden := p.(Widener[S])
-
-	// flows returns the nodes whose states feed node v, and deps the nodes
-	// v's state feeds, honoring direction.
-	flows, deps := g.Preds, g.Succs
-	boundaryNode := cfg.Entry
-	if p.Direction() == Backward {
-		flows, deps = g.Succs, g.Preds
-		boundaryNode = cfg.Exit
-	}
+	order := visitOrder(g)
 
 	// visits tracks per-node input churn for widening.
 	visits := make([]int, n)
@@ -130,10 +96,10 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 		sol.In[node] = p.Init(g, node)
 		sol.Out[node] = p.Transfer(g, node, sol.In[node])
 	}
-	sol.In[boundaryNode] = p.Boundary(g)
-	sol.Out[boundaryNode] = p.Transfer(g, boundaryNode, sol.In[boundaryNode])
+	sol.In[cfg.Entry] = p.Boundary(g)
+	sol.Out[cfg.Entry] = p.Transfer(g, cfg.Entry, sol.In[cfg.Entry])
 
-	// dirty holds the visit positions due a re-join. Every node with a flow
+	// dirty holds the visit positions due a re-join. Every node with a
 	// predecessor starts dirty. A change to Out[v] marks v's dependents; a
 	// widened evaluation marks its own node again, since Widen is not
 	// idempotent and the node must re-join unchanged inputs. A mark at or
@@ -145,7 +111,7 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 	dirty := newBitset(n)
 	for i, node := range order {
 		pos[node] = int32(i)
-		if len(flows[node]) > 0 {
+		if len(g.Preds[node]) > 0 {
 			dirty.set(i)
 		}
 	}
@@ -157,36 +123,28 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 			dirty.clear(i)
 			node := order[i]
 			var in S
-			if node == boundaryNode {
+			if node == cfg.Entry {
 				in = p.Boundary(g)
 			} else {
 				in = p.Init(g, node)
 			}
-			for _, pred := range flows[node] {
-				out := sol.Out[pred]
-				if hasRefine {
-					if p.Direction() == Forward {
-						out = refiner.RefineEdge(g, pred, node, out)
-					} else {
-						out = refiner.RefineEdge(g, node, pred, out)
-					}
-				}
-				in = p.Join(in, out)
+			for _, pred := range g.Preds[node] {
+				in = p.Join(in, p.RefineEdge(g, pred, node, sol.Out[pred]))
 			}
 			if p.Equal(in, sol.In[node]) {
 				continue
 			}
 			visits[node]++
-			if hasWiden && visits[node] > widenAfter {
+			if visits[node] > widenAfter {
 				dirty.set(i)
-				in = widener.Widen(sol.In[node], in)
+				in = p.Widen(sol.In[node], in)
 				if p.Equal(in, sol.In[node]) {
 					continue
 				}
 			}
 			sol.In[node] = in
 			sol.Out[node] = p.Transfer(g, node, in)
-			for _, dep := range deps[node] {
+			for _, dep := range g.Succs[node] {
 				dirty.set(int(pos[dep]))
 			}
 			changed = true
@@ -194,7 +152,7 @@ func Solve[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 		if !changed {
 			return sol
 		}
-		// Safety valve: a correct Widener makes this unreachable, but a
+		// Safety valve: a correct Widen makes this unreachable, but a
 		// buggy lattice must degrade to "analysis gave up", never hang the
 		// compiler. 4*n+64 rounds is far beyond any monotone fixpoint here.
 		if sol.Rounds > 4*n+64 {
@@ -228,24 +186,15 @@ func (b bitset) next(i int) int {
 	return -1
 }
 
-// visitOrder returns the node iteration order for a direction: RPO
-// (forward) or post order (backward), then any nodes the DFS from Entry
-// never reached, in ascending node order, so states seeded by Init on
-// unreachable-from-Entry nodes (indirect-jump targets) still flow.
-func visitOrder(g *cfg.Graph, d Direction) []cfg.Node {
-	rpo := g.RPO()
+// visitOrder returns the node iteration order: RPO, then any nodes the DFS
+// from Entry never reached, in ascending node order, so states seeded by
+// Init on unreachable-from-Entry nodes (indirect-jump targets) still flow.
+func visitOrder(g *cfg.Graph) []cfg.Node {
 	seen := make([]bool, g.NumNodes())
 	order := make([]cfg.Node, 0, g.NumNodes())
-	if d == Forward {
-		for _, n := range rpo {
-			seen[n] = true
-			order = append(order, n)
-		}
-	} else {
-		for i := len(rpo) - 1; i >= 0; i-- {
-			seen[rpo[i]] = true
-			order = append(order, rpo[i])
-		}
+	for _, n := range g.RPO() {
+		seen[n] = true
+		order = append(order, n)
 	}
 	for n := 0; n < g.NumNodes(); n++ {
 		if !seen[n] {

@@ -16,49 +16,33 @@ import (
 func solveReference[S any](g *cfg.Graph, p Problem[S]) *Solution[S] {
 	n := g.NumNodes()
 	sol := &Solution[S]{In: make([]S, n), Out: make([]S, n)}
-	order := visitOrder(g, p.Direction())
-	refiner, hasRefine := p.(EdgeRefiner[S])
-	widener, hasWiden := p.(Widener[S])
-	flows := g.Preds
-	boundaryNode := cfg.Entry
-	if p.Direction() == Backward {
-		flows = g.Succs
-		boundaryNode = cfg.Exit
-	}
+	order := visitOrder(g)
 	visits := make([]int, n)
 	for _, node := range order {
 		sol.In[node] = p.Init(g, node)
 		sol.Out[node] = p.Transfer(g, node, sol.In[node])
 	}
-	sol.In[boundaryNode] = p.Boundary(g)
-	sol.Out[boundaryNode] = p.Transfer(g, boundaryNode, sol.In[boundaryNode])
+	sol.In[cfg.Entry] = p.Boundary(g)
+	sol.Out[cfg.Entry] = p.Transfer(g, cfg.Entry, sol.In[cfg.Entry])
 	for {
 		sol.Rounds++
 		changed := false
 		for _, node := range order {
 			var in S
-			if node == boundaryNode {
+			if node == cfg.Entry {
 				in = p.Boundary(g)
 			} else {
 				in = p.Init(g, node)
 			}
-			for _, pred := range flows[node] {
-				out := sol.Out[pred]
-				if hasRefine {
-					if p.Direction() == Forward {
-						out = refiner.RefineEdge(g, pred, node, out)
-					} else {
-						out = refiner.RefineEdge(g, node, pred, out)
-					}
-				}
-				in = p.Join(in, out)
+			for _, pred := range g.Preds[node] {
+				in = p.Join(in, p.RefineEdge(g, pred, node, sol.Out[pred]))
 			}
 			if p.Equal(in, sol.In[node]) {
 				continue
 			}
 			visits[node]++
-			if hasWiden && visits[node] > widenAfter {
-				in = widener.Widen(sol.In[node], in)
+			if visits[node] > widenAfter {
+				in = p.Widen(sol.In[node], in)
 				if p.Equal(in, sol.In[node]) {
 					continue
 				}
@@ -81,8 +65,8 @@ func sameSolution[S any](t *testing.T, what string, g *cfg.Graph, p Problem[S]) 
 	}
 }
 
-// checkSolveMatchesReference runs every lattice Analyze runs, under
-// Analyze's entry model, through both loops.
+// checkSolveMatchesReference runs the range problem of every function,
+// under Analyze's entry model, through both loops.
 func checkSolveMatchesReference(t *testing.T, name string, p *prog.Program) {
 	t.Helper()
 	graphs, err := cfg.BuildAll(p)
@@ -92,15 +76,10 @@ func checkSolveMatchesReference(t *testing.T, name string, p *prog.Program) {
 	em := buildEntryModel(p, graphs)
 	for fi, g := range graphs {
 		rp := &rangeProblem{g: g, topEntry: em.topEntry[fi], zeroEntry: em.zeroEntry[fi]}
-		cp := &constProblem{g: g, topEntry: em.topEntry[fi], zeroEntry: em.zeroEntry[fi]}
 		if em.calledEntry[fi] {
 			rp.boundary = topRangeState()
-			cp.boundary = topConstState()
 		}
-		what := name + "/" + p.Funcs[fi].Name
-		sameSolution[RangeState](t, what+" ranges", g, rp)
-		sameSolution[ConstState](t, what+" consts", g, cp)
-		sameSolution[LiveState](t, what+" liveness", g, &liveProblem{g: g})
+		sameSolution[RangeState](t, name+"/"+p.Funcs[fi].Name+" ranges", g, rp)
 	}
 }
 
@@ -132,7 +111,6 @@ func TestSolveMatchesReference(t *testing.T) {
 // every node, the join of its entry state and its predecessors' refined
 // Out lies inside In. A solution the round limit cut short fails this, and
 // with it the soundness of every InBounds and Branch fact read from it.
-// Constants and liveness must converge inside the limit too.
 func checkRangePostFixpoint(t *testing.T, name string, p *prog.Program) {
 	t.Helper()
 	f, err := Analyze(p)
@@ -144,10 +122,8 @@ func checkRangePostFixpoint(t *testing.T, name string, p *prog.Program) {
 		what := name + "/" + p.Funcs[fi].Name
 		limit := 4*g.NumNodes() + 64
 		sol := f.Ranges[fi]
-		for i, rounds := range []int{sol.Rounds, f.Consts[fi].Rounds, f.Live[fi].Rounds} {
-			if rounds > limit {
-				t.Errorf("%s: %s took %d rounds, past the limit %d", what, []string{"ranges", "consts", "liveness"}[i], rounds, limit)
-			}
+		if sol.Rounds > limit {
+			t.Errorf("%s: ranges took %d rounds, past the limit %d", what, sol.Rounds, limit)
 		}
 		rp := &rangeProblem{g: g, topEntry: em.topEntry[fi], zeroEntry: em.zeroEntry[fi]}
 		if em.calledEntry[fi] {

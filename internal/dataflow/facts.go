@@ -32,28 +32,21 @@ func (k BranchKind) String() string {
 	}
 }
 
-// Facts is the distilled whole-program result of running every lattice:
-// per-instruction conclusions the static predictor and the tooling read,
-// plus the raw per-function solutions for introspection.
+// Facts is the distilled whole-program result of the range analysis:
+// per-instruction conclusions the tooling reads, plus the raw per-function
+// solutions for introspection.
 type Facts struct {
 	Prog   *prog.Program
 	Graphs []*cfg.Graph
 
-	// Ranges, Consts and Live are indexed by function, like Graphs.
+	// Ranges is indexed by function, like Graphs.
 	Ranges []*Solution[RangeState]
-	Consts []*Solution[ConstState]
-	Live   []*Solution[LiveState]
-	// Depths is the call-graph stack-depth lattice, indexed by function.
-	Depths []FuncDepth
 
 	// inBounds[pc] is true when the Load/Store at pc provably addresses
 	// inside [0, MemSize) on every execution that reaches it.
 	inBounds []bool
 	// branch[pc] is the decided outcome of the Br/BrI at pc.
 	branch []BranchKind
-	// entryRange[pc] is the register state on entry to the instruction at
-	// pc, for instruction-granular queries (DOT annotation, validation).
-	entryRange []RangeState
 }
 
 // InBounds reports whether the memory access at pc is statically proven to
@@ -73,13 +66,14 @@ func (f *Facts) Branch(pc int32) BranchKind {
 	return f.branch[pc]
 }
 
-// EntryRange returns the register range state flowing into pc. The second
-// result is false when the analysis considers pc unreachable.
-func (f *Facts) EntryRange(pc int) (RangeState, bool) {
-	if pc < 0 || pc >= len(f.entryRange) {
-		return RangeState{}, false
+// replay walks block b from its entry state st, calling visit with the
+// register state on entry to each instruction. Instruction-granular
+// states are recomputed this way rather than stored, at 520 bytes each.
+func replay(p *prog.Program, b prog.Block, st RangeState, visit func(pc int, st *RangeState)) {
+	for pc := b.Start; pc < b.End; pc++ {
+		visit(pc, &st)
+		rangeTransferInstr(&st, p.Instrs[pc])
 	}
-	return f.entryRange[pc], f.entryRange[pc].Reached
 }
 
 // InBoundsCount returns how many memory accesses were proven safe and the
@@ -231,31 +225,14 @@ func buildEntryModel(p *prog.Program, graphs []*cfg.Graph) entryModel {
 	return m
 }
 
-// analyses counts Analyze calls, so tests can check that the program's
-// consumers share one analysis.
+// analyses counts Analyze calls, so a test can check that no run path
+// analyzes a program.
 var analyses atomic.Int64
 
-// factsMemo memoizes Analyze by program identity. A program whose analysis
-// fails is memoized as nil: callers degrade to fact-free prediction.
-var factsMemo = prog.NewMemo[*Facts]()
-
-// ProgramFacts returns the memoized whole-program facts for p, or nil if the
-// analysis failed (a verified program always analyzes; nil is pure
-// defense). It is the one memo the static predictor and pathdump's check
-// read. Neither tier compiles or validates against it.
-func ProgramFacts(p *prog.Program) *Facts {
-	return factsMemo.Do(p, func(p *prog.Program) *Facts {
-		f, err := Analyze(p)
-		if err != nil {
-			return nil
-		}
-		return f
-	})
-}
-
-// Analyze validates p, builds its CFGs, runs every lattice to fixpoint and
-// distills the per-instruction facts. The program must already be frozen
-// (fingerprinted); Analyze does not mutate it.
+// Analyze validates p, builds its CFGs, runs the range analysis to fixpoint
+// and distills the per-instruction facts. The program must already be
+// frozen (fingerprinted); Analyze does not mutate it. It is tooling: no
+// run, compile or validation reads its result.
 func Analyze(p *prog.Program) (*Facts, error) {
 	analyses.Add(1)
 	if err := p.Validate(); err != nil {
@@ -269,56 +246,43 @@ func Analyze(p *prog.Program) (*Facts, error) {
 	em := buildEntryModel(p, graphs)
 
 	f := &Facts{
-		Prog:       p,
-		Graphs:     graphs,
-		Ranges:     make([]*Solution[RangeState], len(graphs)),
-		Consts:     make([]*Solution[ConstState], len(graphs)),
-		Live:       make([]*Solution[LiveState], len(graphs)),
-		Depths:     AnalyzeStackDepths(p),
-		inBounds:   make([]bool, p.Len()),
-		branch:     make([]BranchKind, p.Len()),
-		entryRange: make([]RangeState, p.Len()),
+		Prog:     p,
+		Graphs:   graphs,
+		Ranges:   make([]*Solution[RangeState], len(graphs)),
+		inBounds: make([]bool, p.Len()),
+		branch:   make([]BranchKind, p.Len()),
 	}
 
+	memSize := int64(p.MemSize)
+	distill := func(pc int, st *RangeState) {
+		switch in := p.Instrs[pc]; in.Op {
+		case isa.Load, isa.Store:
+			addr := addIv(st.Reg[in.B], Point(in.Imm))
+			if !addr.IsFull() && addr.Within(0, memSize-1) {
+				f.inBounds[pc] = true
+			}
+		case isa.Br:
+			if taken, ok := condDecide(st.Reg[in.A], st.Reg[in.B], in.Cond); ok {
+				f.branch[pc] = decidedKind(taken)
+			}
+		case isa.BrI:
+			if taken, ok := condDecide(st.Reg[in.A], Point(in.Imm), in.Cond); ok {
+				f.branch[pc] = decidedKind(taken)
+			}
+		}
+	}
 	for fi, g := range graphs {
 		rp := &rangeProblem{g: g, topEntry: em.topEntry[fi], zeroEntry: em.zeroEntry[fi]}
-		cp := &constProblem{g: g, topEntry: em.topEntry[fi], zeroEntry: em.zeroEntry[fi]}
 		if em.calledEntry[fi] {
 			rp.boundary = topRangeState()
-			cp.boundary = topConstState()
 		}
 		f.Ranges[fi] = Solve[RangeState](g, rp)
-		f.Consts[fi] = Solve[ConstState](g, cp)
-		f.Live[fi] = Solve[LiveState](g, &liveProblem{g: g})
 
 		// Distill per-instruction facts by replaying the transfer function
 		// through each reached block.
-		memSize := int64(p.MemSize)
 		for n := 2; n < g.NumNodes(); n++ {
-			st := f.Ranges[fi].In[n]
-			if !st.Reached {
-				continue
-			}
-			b := p.Blocks[g.BlockOf[n]]
-			for pc := b.Start; pc < b.End; pc++ {
-				in := p.Instrs[pc]
-				f.entryRange[pc] = st
-				switch in.Op {
-				case isa.Load, isa.Store:
-					addr := addIv(st.Reg[in.B], Point(in.Imm))
-					if !addr.IsFull() && addr.Within(0, memSize-1) {
-						f.inBounds[pc] = true
-					}
-				case isa.Br:
-					if taken, ok := condDecide(st.Reg[in.A], st.Reg[in.B], in.Cond); ok {
-						f.branch[pc] = decidedKind(taken)
-					}
-				case isa.BrI:
-					if taken, ok := condDecide(st.Reg[in.A], Point(in.Imm), in.Cond); ok {
-						f.branch[pc] = decidedKind(taken)
-					}
-				}
-				rangeTransferInstr(&st, in)
+			if st := f.Ranges[fi].In[n]; st.Reached {
+				replay(p, p.Blocks[g.BlockOf[n]], st, distill)
 			}
 		}
 	}

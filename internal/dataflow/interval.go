@@ -519,7 +519,6 @@ type rangeProblem struct {
 	zeroEntry map[cfg.Node]bool
 }
 
-func (p *rangeProblem) Direction() Direction             { return Forward }
 func (p *rangeProblem) Boundary(g *cfg.Graph) RangeState { return p.boundary }
 
 func (p *rangeProblem) Init(g *cfg.Graph, n cfg.Node) RangeState {

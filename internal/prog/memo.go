@@ -13,9 +13,9 @@ const (
 	memoMaxWords   = 1 << 21
 )
 
-// Memo memoizes a per-program result by program identity: the verifier's
-// verdict, the whole-program dataflow facts. Programs are immutable after
-// Freeze, so pointer identity is a sound key and staleness is impossible.
+// Memo memoizes a per-program result by program identity, such as the
+// verifier's verdict. Programs are immutable after Freeze, so pointer
+// identity is a sound key and staleness is impossible.
 // Eviction is FIFO: crossing either bound drops the oldest entries until
 // both hold again, so a burst of fresh programs evicts the burst's
 // predecessors rather than a grid's whole working set.

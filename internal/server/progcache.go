@@ -49,9 +49,9 @@ type progKey struct {
 // progCache is the server's bounded cache of resolved programs: decoded or
 // built, Validated, and accepted by the static verifier. Only accepted
 // programs enter, so a hit needs no verification, and the pointer it returns
-// is the one dynamo's per-program memos already hold — the run's load-time
-// verify gate and the tier-2 facts memo hit too. Bounded FIFO, like
-// snapStore; an evicted program is simply resolved again.
+// is the one dynamo's verify memo already holds, so the run's load-time
+// verify gate hits too. Bounded FIFO, like snapStore; an evicted program is
+// simply resolved again.
 type progCache struct {
 	mu    sync.Mutex
 	m     map[progKey]*prog.Program

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"netpath/internal/cfg"
-	"netpath/internal/dataflow"
 	"netpath/internal/isa"
 	"netpath/internal/prog"
 )
@@ -81,11 +80,6 @@ type Analysis struct {
 	// data holds the program's initial memory values, sorted — the operand
 	// distribution the immediate heuristic estimates against.
 	data []int64
-
-	// facts is the whole-program dataflow analysis (nil when it failed):
-	// branches it decides are certainties, not heuristics, and override
-	// every probabilistic estimate below.
-	facts *dataflow.Facts
 }
 
 // Analyze builds the CFGs and loop maps for p.
@@ -117,10 +111,6 @@ func Analyze(p *prog.Program) (*Analysis, error) {
 		a.data = append(a.data, mi.Value)
 	}
 	sort.Slice(a.data, func(i, j int) bool { return a.data[i] < a.data[j] })
-	// Dataflow facts upgrade heuristics to proofs where the ranges decide a
-	// branch. A failed analysis (impossible on a verified program) just
-	// leaves the model purely heuristic.
-	a.facts = dataflow.ProgramFacts(p)
 	return a, nil
 }
 
@@ -192,17 +182,6 @@ func (a *Analysis) returnsImmediately(addr int) bool {
 func (a *Analysis) TakenProb(pc int) float64 {
 	in := a.Prog.Instrs[pc]
 	t := int(in.Target)
-	// Decided branches are certainties: the range analysis proved every
-	// execution reaching pc resolves the same way, so no heuristic evidence
-	// can move the estimate.
-	if a.facts != nil {
-		switch a.facts.Branch(int32(pc)) {
-		case dataflow.BranchAlwaysTaken:
-			return 1
-		case dataflow.BranchNeverTaken:
-			return 0
-		}
-	}
 	// Loop branch heuristic: a taken-backward conditional is a latch, and
 	// loops iterate. This dominates all other evidence.
 	if t <= pc {

@@ -142,43 +142,6 @@ func TestReturnHeuristic(t *testing.T) {
 	}
 }
 
-func TestDecidedBranchIsCertain(t *testing.T) {
-	// The range analysis proves both branches: r1 = 5 makes the first test
-	// always true and the second always false. Certainties override every
-	// heuristic, including the opcode prior.
-	b := prog.NewBuilder("decided")
-	b.SetMemSize(4)
-	m := b.Func("main")
-	m.MovI(1, 5)
-	m.BrI(isa.Lt, 1, 10, "a")
-	m.AddI(2, 2, 1)
-	m.Label("a")
-	m.BrI(isa.Gt, 1, 10, "b")
-	m.AddI(3, 3, 1)
-	m.Label("b")
-	m.Halt()
-	p := b.MustBuild()
-	a := analyze(t, p)
-	var always, never = -1, -1
-	for pc, in := range p.Instrs {
-		if in.Op == isa.BrI && in.Cond == isa.Lt {
-			always = pc
-		}
-		if in.Op == isa.BrI && in.Cond == isa.Gt {
-			never = pc
-		}
-	}
-	if always < 0 || never < 0 {
-		t.Fatal("branches not found")
-	}
-	if got := a.TakenProb(always); got != 1 {
-		t.Errorf("always-taken branch TakenProb = %v, want 1", got)
-	}
-	if got := a.TakenProb(never); got != 0 {
-		t.Errorf("never-taken branch TakenProb = %v, want 0", got)
-	}
-}
-
 func TestWalkTerminatesBackward(t *testing.T) {
 	p := loopProg(t)
 	a := analyze(t, p)
